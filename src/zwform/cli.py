@@ -19,6 +19,7 @@ Exit codes follow sysexits where it has an opinion:
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -26,7 +27,7 @@ import sys
 from .decomposition import decompose
 from .errors import DegenerateE, NotCoprime, NotTheoremGrade, ZeroZ, ZwformError
 from .exact_arith import gcd, is_prime
-from .oracle import SearchBounds, identity_fuzz, roundtrip_check, stream_solutions
+from .oracle import EnumerationStats, SearchBounds, identity_fuzz, roundtrip_check, scan
 from .parametrization import ParameterTuple, Solution, generate
 
 EX_OK = 0
@@ -64,6 +65,13 @@ def _record(kind: str, **fields) -> dict:
             value = fields[key]
             rec[key] = value if key in ("error", "counts") else str(value)
     return rec
+
+
+# The bytes _emit writes for a solution record, as one %-template per format.
+_SOLUTION_LINE = {
+    "json": '{"kind":"solution","p":"%d","x":"%d","y":"%d","z":"%d","m":"%d","w":"%d"}\n',
+    "text": "solution p=%d x=%d y=%d z=%d m=%d w=%d\n",
+}
 
 
 def _tuple_record(t: ParameterTuple) -> dict:
@@ -222,10 +230,13 @@ def _cmd_search(args) -> int:
             return EX_IOERR
     else:
         stream = sys.stdout
+    line = _SOLUTION_LINE[fmt]
+    p = bounds.p
+    stats = EnumerationStats()
     try:
-        stats = stream_solutions(
-            bounds, lambda sol: _emit(_solution_record(sol), fmt, stream), jobs=args.jobs
-        )
+        for m, sols in scan(bounds, stats, jobs=args.jobs):
+            if sols:
+                stream.write("".join([line % (p, x, y, z, m, w) for x, y, z, w in sols]))
         _emit(_record("report", counts=_str_counts(stats.as_counts())), fmt, stream)
     finally:
         if stream is not sys.stdout:
@@ -249,6 +260,7 @@ def _cmd_roundtrip(args) -> int:
     return EX_OK
 
 
+@functools.cache
 def _build_parser() -> _Parser:
     fmt_parent = _Parser(add_help=False)
     fmt_parent.add_argument("--format", choices=("text", "json"), default="text",
@@ -313,7 +325,16 @@ def _build_parser() -> _Parser:
 
 
 def run(argv=None) -> int:
-    """Parse argv and execute; returns the process exit code."""
+    """Parse argv and execute; returns the process exit code.
+
+    Integers of any length are read and printed: CPython's int/str digit
+    limit is lifted for the call and restored afterwards. Interpreters
+    older than the limit have nothing to lift.
+    """
+    lift = hasattr(sys, "set_int_max_str_digits")
+    if lift:
+        old_limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
     try:
         args = _build_parser().parse_args(argv)
         return args.handler(args)
@@ -326,6 +347,9 @@ def run(argv=None) -> int:
     except Exception as exc:
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EX_INTERNAL
+    finally:
+        if lift:
+            sys.set_int_max_str_digits(old_limit)
 
 
 def main(argv=None) -> None:

@@ -16,7 +16,7 @@ serialized.
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from math import gcd
 
@@ -153,49 +153,55 @@ def _split_range(lo: int, hi: int, parts: int) -> list[tuple[int, int]]:
     return chunks
 
 
-def _scan_chunk(args: tuple[int, int, int, int]):
-    """Worker: enumerate one m chunk; returns (stats fields, solution field tuples)."""
-    p, bound, m_lo, m_hi = args
-    trip = _triples(bound, p)
-    checked = found = f_m0 = f_w0 = 0
-    sols = []
-    for m in range(m_lo, m_hi + 1):
+def scan(bounds: SearchBounds, stats, jobs: int = 1):
+    """Yield (m, [(x, y, z, w), ...]) for every nonzero m in range, ascending.
+
+    This is the package's one enumeration loop. Each batch lists the m's
+    solutions in (x, y, z) order. The counters of stats (an EnumerationStats
+    or a SearchReport) grow as the scan goes and are complete once the
+    generator is exhausted. With jobs == 1 each m is scanned only when the
+    consumer asks for its batch; otherwise the m range is split into chunks
+    that worker processes scan, and their batches are yielded in range
+    order once every chunk has returned.
+    """
+    if jobs > 1:
+        for part, batches in _run_chunks(_scan_chunk, bounds, jobs):
+            stats.absorb(part)
+            yield from batches
+        return
+    trip = _triples(bounds.bound, bounds.p)
+    for m in range(bounds.m_min, bounds.m_max + 1):
         if m == 0:
-            f_m0 += len(trip)
+            stats.filtered_zero_m += len(trip)
             continue
-        checked += len(trip)
+        stats.instances_checked += len(trip)
+        sols = []
         for x, y, z, xp, yp in trip:
             t = xp - m * yp
             if t % z:
                 continue
-            if t == 0:
-                f_w0 += 1
+            if t:
+                sols.append((x, y, z, t // z))
             else:
-                found += 1
-                sols.append((x, y, z, m, t // z))
-    return checked, found, f_m0, f_w0, sols
+                stats.filtered_zero_w += 1
+        stats.solutions_found += len(sols)
+        yield m, sols
 
 
-def _roundtrip_chunk(args: tuple[int, int, int, int]) -> SearchReport:
+def _scan_chunk(bounds: SearchBounds) -> tuple[EnumerationStats, list]:
+    """Worker: the stats and the batches of one m chunk."""
+    stats = EnumerationStats()
+    return stats, list(scan(bounds, stats))
+
+
+def _roundtrip_chunk(bounds: SearchBounds) -> SearchReport:
     """Worker: enumerate one m chunk and push every solution through the
     decompose -> generate round trip, auditing traces and constraints."""
-    p, bound, m_lo, m_hi = args
-    trip = _triples(bound, p)
+    p = bounds.p
     rep = SearchReport()
-    for m in range(m_lo, m_hi + 1):
-        if m == 0:
-            rep.filtered_zero_m += len(trip)
-            continue
-        rep.instances_checked += len(trip)
-        for x, y, z, xp, yp in trip:
-            t = xp - m * yp
-            if t % z:
-                continue
-            if t == 0:
-                rep.filtered_zero_w += 1
-                continue
-            rep.solutions_found += 1
-            sol = Solution(p, x, y, z, m, t // z)
+    for m, sols in scan(bounds, rep):
+        for x, y, z, w in sols:
+            sol = Solution(p, x, y, z, m, w)
             try:
                 tup, trace = decompose(sol)
             except DegenerateE:
@@ -220,12 +226,14 @@ def _roundtrip_chunk(args: tuple[int, int, int, int]) -> SearchReport:
 
 
 def _run_chunks(worker, bounds: SearchBounds, jobs: int) -> list:
-    chunks = _split_range(bounds.m_min, bounds.m_max, jobs)
-    argsets = [(bounds.p, bounds.bound, lo, hi) for lo, hi in chunks]
-    if len(argsets) == 1:
-        return [worker(argsets[0])]
-    with ProcessPoolExecutor(max_workers=len(argsets)) as pool:
-        return list(pool.map(worker, argsets))
+    chunks = [
+        replace(bounds, m_min=lo, m_max=hi)
+        for lo, hi in _split_range(bounds.m_min, bounds.m_max, jobs)
+    ]
+    if len(chunks) == 1:
+        return [worker(chunks[0])]
+    with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
+        return list(pool.map(worker, chunks))
 
 
 def stream_solutions(bounds: SearchBounds, sink, jobs: int = 1) -> EnumerationStats:
@@ -237,12 +245,8 @@ def stream_solutions(bounds: SearchBounds, sink, jobs: int = 1) -> EnumerationSt
     """
     stats = EnumerationStats()
     p = bounds.p
-    for checked, found, f_m0, f_w0, sols in _run_chunks(_scan_chunk, bounds, jobs):
-        stats.instances_checked += checked
-        stats.solutions_found += found
-        stats.filtered_zero_m += f_m0
-        stats.filtered_zero_w += f_w0
-        for x, y, z, m, w in sols:
+    for m, sols in scan(bounds, stats, jobs):
+        for x, y, z, w in sols:
             sink(Solution(p, x, y, z, m, w))
     return stats
 

@@ -1,10 +1,16 @@
 """Command line behavior: records, exit codes, parsing, and determinism."""
 
+import io
 import json
+import sys
 
 import pytest
 
-from zwform.cli import EX_DOMAIN, EX_INTERNAL, EX_IOERR, EX_OK, EX_USAGE, run
+from zwform.cli import (
+    EX_DOMAIN, EX_INTERNAL, EX_IOERR, EX_OK, EX_USAGE, _emit, _record, _solution_record,
+    _str_counts, run,
+)
+from zwform.oracle import SearchBounds, enumerate_solutions, stream_solutions
 
 
 def run_lines(capsys, argv):
@@ -257,6 +263,22 @@ class TestSearch:
             assert code == EX_OK
         assert paths[0].read_bytes() == paths[1].read_bytes()
 
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize("jobs", [1, 3])
+    def test_stdout_matches_record_serializer(self, capsys, fmt, jobs):
+        # The m range holds 0, so the report's filtered_zero_m is nonzero.
+        bounds = SearchBounds(3, 5, -4, 3)
+        expected = io.StringIO()
+        for sol in enumerate_solutions(bounds):
+            _emit(_solution_record(sol), fmt, expected)
+        stats = stream_solutions(bounds, lambda sol: None)
+        assert stats.filtered_zero_m > 0
+        _emit(_record("report", counts=_str_counts(stats.as_counts())), fmt, expected)
+        code = run(["search", "--p", "3", "--bound", "5", "--m", "-4..3",
+                    "--format", fmt, "--jobs", str(jobs)])
+        assert code == EX_OK
+        assert capsys.readouterr().out == expected.getvalue()
+
     def test_deterministic_stdout(self, capsys):
         argv = ["search", "--p", "2", "--bound", "4", "--m", "-3..3"]
         first = run_lines(capsys, argv)
@@ -294,6 +316,47 @@ class TestRoundtrip:
              "--fuzz-count", "-3"],
         )
         assert code == EX_USAGE
+
+
+class TestBigIntegers:
+    """Integers past CPython's 4300-digit int/str limit, in and out."""
+
+    def test_generate_large_output(self, capsys):
+        code, out, _ = run_lines(
+            capsys, ["generate", "--p", "101", "--tuple", "1000,1,1,1,1,1,1"]
+        )
+        assert code == EX_OK
+        assert out[0] == "tuple p=101 e=1000 f=1 g=1 l=1 q=1 n=1 r=1"
+        assert out[1].startswith("solution p=101 ")
+        assert len(out) == 2
+        assert max(len(field) for field in out[1].split()) > 4300
+
+    def test_decompose_large_g(self, capsys):
+        code, out, _ = run_lines(
+            capsys,
+            ["decompose", "--p", "31", "--x=-381520416090430974070915870276",
+             "--y", "-931322574615478515625", "--z", "381520424472334145610222510901",
+             "--m", "-4611686018427387908", "--format", "json"],
+        )
+        assert code == EX_OK
+        sol_rec, tup_rec = json_records(out)
+        assert sol_rec["kind"] == "solution"
+        assert tup_rec["kind"] == "tuple"
+        assert len(tup_rec["g"].lstrip("-")) > 4300
+
+    def test_verify_large_input(self, capsys):
+        limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+        # Written out by hand: str() of these ints is itself over the limit.
+        x = "1" + "0" * 4998 + "1"  # 10**4999 + 1
+        w = "1" + "0" * 4998 + "2" + "0" * 4999  # x**2 - 1
+        code, out, _ = run_lines(
+            capsys,
+            ["verify", "--p", "2", "--x", x, "--y", "1", "--z", "1", "--m", "1", "--w", w],
+        )
+        assert code == EX_OK
+        assert out == ["report identity=1 nonzero=1 pairwise_coprime=1 theorem_grade=1"]
+        if limit is not None:
+            assert sys.get_int_max_str_digits() == limit
 
 
 class TestParsing:

@@ -84,24 +84,34 @@ class TestEnumerate:
         assert stats.solutions_found == len(seen)
 
     def test_counters(self):
-        bounds = SearchBounds(2, 2, -1, 1)
+        # The m range holds 0, and m == 1 has w == 0 instances (x == +-y).
+        p, bound, m_min, m_max = 2, 3, -2, 2
         triples = [
             (x, y, z)
-            for x in range(-2, 3) for y in range(-2, 3) for z in range(-2, 3)
+            for x in range(-bound, bound + 1) for y in range(-bound, bound + 1)
+            for z in range(-bound, bound + 1)
             if x and y and z
             and math.gcd(x, y) == math.gcd(x, z) == math.gcd(y, z) == 1
         ]
-        stats = EnumerationStats()
-        out = []
-        got = stream_solutions(bounds, out.append)
-        stats.absorb(got)
-        assert stats.instances_checked == 2 * len(triples)
-        assert stats.filtered_zero_m == len(triples)
-        zero_w = sum(
-            1 for m in (-1, 1) for (x, y, z) in triples if x * x == m * y * y
-        )
-        assert stats.filtered_zero_w == zero_w
-        assert stats.solutions_found == len(out)
+        nonzero_m = [m for m in range(m_min, m_max + 1) if m]
+        expected = {
+            "instances_checked": len(nonzero_m) * len(triples),
+            "solutions_found": len(naive_box_scan(p, bound, m_min, m_max)),
+            "filtered_zero_m": len(triples),
+            "filtered_zero_w": sum(
+                1 for m in nonzero_m for (x, y, z) in triples if x ** p == m * y ** p
+            ),
+        }
+        assert expected["filtered_zero_w"] > 0
+        bounds = SearchBounds(p, bound, m_min, m_max)
+        for jobs in (1, 3):
+            out = []
+            stats = EnumerationStats()
+            stats.absorb(stream_solutions(bounds, out.append, jobs=jobs))
+            assert stats.as_counts() == expected
+            assert len(out) == expected["solutions_found"]
+            report = roundtrip_check(bounds, jobs=jobs)
+            assert {key: report.as_counts()[key] for key in expected} == expected
 
 
 class TestRoundtripCheck:
