@@ -12,7 +12,7 @@ Exit codes follow sysexits where it has an opinion:
     0   success
     1   internal error (a bug in this package, or a failed self-check)
     2   domain error (well-formed input outside the math's domain)
-    64  usage error (malformed command line)
+    64  usage error (malformed command line, composite or too large --p)
     74  output file could not be written
 """
 
@@ -119,7 +119,11 @@ def _fail(name: str, detail: str, fmt: str, code: int) -> int:
 
 
 def _require_prime(p: int) -> None:
-    if not is_prime(p):
+    try:
+        prime = is_prime(p)
+    except ValueError as exc:
+        raise UsageError(f"--p too large: {exc}")
+    if not prime:
         raise UsageError(f"--p must be prime, got {p}")
 
 

@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from .exact_arith import exact_div, extgcd, ipow, mod_inverse
+from .exact_arith import exact_div, extgcd, mod_inverse
 from .errors import DegenerateE, NotCoprime, NotTheoremGrade, RoundTripMismatch
 from .parametrization import ParameterTuple, Solution, generate
 
@@ -85,7 +85,7 @@ def line_coeffs(a: int, b: int, c: int, d: int) -> tuple[int, int, int, int]:
 
 def residual_e(u: int, q: int, m: int, z: int, p: int) -> int:
     """e = (u**p - m*q**p) / z, exact for pipeline-produced inputs."""
-    return exact_div(ipow(u, p) - m * ipow(q, p), z)
+    return exact_div(u ** p - m * q ** p, z)
 
 
 def split_u(u: int, e: int, q: int) -> tuple[int, int]:
@@ -109,12 +109,12 @@ def residual_g(f: int, m: int, e: int, p: int) -> int:
     """g = (f**p - m) / e, exact for pipeline-produced inputs."""
     if e == 0:
         raise DegenerateE("e = 0 leaves g undefined (f**p - m = e*g has no solution)")
-    return exact_div(ipow(f, p) - m, e)
+    return exact_div(f ** p - m, e)
 
 
 def residual_n(y: int, e: int, l: int, r: int, q: int, p: int) -> int:
     """n = (y - e**(p-2) * l**(p-1) * r) / q, with 0**0 == 1 at p == 2."""
-    return exact_div(y - ipow(e, p - 2) * ipow(l, p - 1) * r, q)
+    return exact_div(y - e ** (p - 2) * l ** (p - 1) * r, q)
 
 
 def _require_theorem_grade(sol: Solution) -> None:
@@ -177,8 +177,8 @@ def trace_identities(sol: Solution, trace: DecompositionTrace) -> dict[str, bool
             and t.d - t.b == t.r * t.h
         ),
         "line": t.q * sol.x == -sol.z * t.r + t.u * sol.y,
-        "residual_e": ipow(t.u, p) - sol.m * ipow(t.q, p) == sol.z * t.e,
+        "residual_e": t.u ** p - sol.m * t.q ** p == sol.z * t.e,
         "split_u": t.u == t.e * t.l + t.f * t.q,
-        "residual_g": ipow(t.f, p) - sol.m == t.e * t.g,
-        "residual_n": sol.y == t.n * t.q + ipow(t.e, p - 2) * ipow(t.l, p - 1) * t.r,
+        "residual_g": t.f ** p - sol.m == t.e * t.g,
+        "residual_n": sol.y == t.n * t.q + t.e ** (p - 2) * t.l ** (p - 1) * t.r,
     }

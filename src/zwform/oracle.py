@@ -21,9 +21,9 @@ from functools import lru_cache
 from math import gcd
 
 from .decomposition import decompose, trace_identities
-from .errors import DegenerateE, ZwformError
-from .exact_arith import binomial, ipow, is_prime
-from .parametrization import ParameterTuple, Solution, eval_z, generate
+from .errors import DegenerateE, NotDivisible, ZwformError
+from .exact_arith import is_prime
+from .parametrization import ParameterTuple, Solution, eval_w, eval_z, generate
 
 
 @dataclass(frozen=True)
@@ -339,7 +339,8 @@ def identity_fuzz(p: int, limit: int, count: int, seed: int) -> SearchReport:
     For the rest, the defining identity, the line relation
     q*x == -z*r + u*y, the norm relation z*e == u**p - m*q**p with
     u = e*l + f*q, and the exact q**p divisibility of the w bracket are all
-    checked by direct integer arithmetic, not by trusting generate().
+    checked by direct integer arithmetic, not by trusting generate(). The
+    bracket is the paper-literal one of eval_w.
     """
     report = SearchReport()
     for t in sample_tuples(p, limit, count, seed):
@@ -353,19 +354,18 @@ def identity_fuzz(p: int, limit: int, count: int, seed: int) -> SearchReport:
             report.failures.append((t, f"exception {type(exc).__name__}: {exc}"))
             continue
         u = t.e * t.l + t.f * t.q
-        uy = u * sol.y
-        bracket = t.e * ipow(sol.y, p)
-        for k in range(p):
-            bracket += binomial(p, k) * ipow(sol.z, p - k - 1) * ipow(-t.r, p - k) * ipow(uy, k)
-        qp = ipow(t.q, p)
         problems = []
         if sol.x ** p - sol.m * sol.y ** p != sol.z * sol.w:
             problems.append("identity")
         if t.q * sol.x != -sol.z * t.r + u * sol.y:
             problems.append("line relation")
-        if sol.z * t.e != ipow(u, p) - sol.m * qp:
+        if sol.z * t.e != u ** p - sol.m * t.q ** p:
             problems.append("norm relation")
-        if bracket % qp != 0 or sol.w != bracket // qp:
+        try:
+            bracket_ok = eval_w(t, sol.z, sol.y) == sol.w
+        except NotDivisible:
+            bracket_ok = False
+        if not bracket_ok:
             problems.append("bracket divisibility")
         if problems:
             report.failures.append((t, "failed: " + ", ".join(problems)))

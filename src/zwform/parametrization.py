@@ -1,7 +1,7 @@
 """Closed-form generation of solutions to x**p - m*y**p == z*w.
 
 For a prime p, seven integers (e, f, g, l, q, n, r) with q != 0 determine a
-solution of the equation through the closed forms below:
+solution of the equation. The paper writes the five fields as
 
     y = n*q + e**(p-2) * l**(p-1) * r
     m = f**p - e*g
@@ -15,6 +15,19 @@ solution of the equation through the closed forms below:
 
 with the convention 0**0 == 1 throughout. When gcd(e, q) == gcd(l, q) == 1
 the division defining w is exact, because z is then coprime to q.
+
+``generate`` evaluates the telescoped equivalents of the three sums. The z
+sum is the binomial expansion of u**p with its k == p term removed, divided
+by e; the line relation q*x == u*y - z*r gives x, and the defining identity
+gives w:
+
+    z = (u**p - (f*q)**p) / e + g*q**p      (p*l*(f*q)**(p-1) + g*q**p at e == 0)
+    x = (u*y - z*r) / q
+    w = (x**p - m*y**p) / z
+
+Each costs a fixed number of big-integer powers instead of O(p). The
+paper-literal sums stay as the reference that gates them: ``eval_z``,
+``eval_x``, ``eval_w`` and ``generate_reference``.
 
 The quadratic case has a classical, much older set of closed forms
 (Dickson); ``dickson_p2`` implements them independently as a cross-check.
@@ -106,12 +119,12 @@ def is_theorem_grade(sol: Solution) -> bool:
 
 def eval_y(t: ParameterTuple) -> int:
     """y = n*q + e**(p-2) * l**(p-1) * r, with 0**0 == 1 at p == 2."""
-    return t.n * t.q + ipow(t.e, t.p - 2) * ipow(t.l, t.p - 1) * t.r
+    return t.n * t.q + t.e ** (t.p - 2) * t.l ** (t.p - 1) * t.r
 
 
 def eval_m(t: ParameterTuple) -> int:
     """m = f**p - e*g."""
-    return ipow(t.f, t.p) - t.e * t.g
+    return t.f ** t.p - t.e * t.g
 
 
 def eval_z(t: ParameterTuple) -> int:
@@ -153,12 +166,49 @@ def eval_w(t: ParameterTuple, z: int, y: int) -> int:
     return exact_div(acc, ipow(q, p))
 
 
-def generate(t: ParameterTuple) -> Solution:
-    """Evaluate all five closed forms and return the resulting Solution.
+def _exact(num: int, den: int, t: ParameterTuple) -> int:
+    quot, rem = divmod(num, den)
+    if rem:
+        raise IdentityViolation(f"inexact closed-form division in generate({t})")
+    return quot
 
-    Requires gcd(e, q) == gcd(l, q) == 1 and eval_z(t) != 0. The defining
-    identity is re-checked on the assembled fields before returning; a
-    failure there is a bug, not an input problem.
+
+def generate(t: ParameterTuple) -> Solution:
+    """Evaluate the telescoped closed forms and return the resulting Solution.
+
+    Requires gcd(e, q) == gcd(l, q) == 1 and a nonzero z. The three
+    divisions are exact by the algebra above; a remainder there is a bug,
+    not an input problem, and raises IdentityViolation. Agrees field by
+    field with generate_reference wherever either is defined.
+    """
+    if gcd(t.e, t.q) != 1:
+        raise NotCoprime(f"gcd(e, q) = gcd({t.e}, {t.q}) != 1")
+    if gcd(t.l, t.q) != 1:
+        raise NotCoprime(f"gcd(l, q) = gcd({t.l}, {t.q}) != 1")
+    p, e, l, q, r = t.p, t.e, t.l, t.q, t.r
+    fq = t.f * q
+    u = e * l + fq
+    if e:
+        z = _exact(u ** p - fq ** p, e, t)
+    else:
+        z = p * l * fq ** (p - 1)
+    z += t.g * q ** p
+    if z == 0:
+        raise ZeroZ(f"z evaluates to 0 for {t}")
+    y = eval_y(t)
+    m = eval_m(t)
+    x = _exact(u * y - z * r, q, t)
+    w = _exact(x ** p - m * y ** p, z, t)
+    return Solution(p, x, y, z, m, w)
+
+
+def generate_reference(t: ParameterTuple) -> Solution:
+    """The paper-literal evaluation: every closed form as its binomial sum.
+
+    Slow (O(p) big powers per field) and kept as the reference that gates
+    generate. Requires gcd(e, q) == gcd(l, q) == 1 and eval_z(t) != 0. The
+    defining identity is re-checked on the assembled fields before
+    returning; a failure there is a bug, not an input problem.
     """
     if gcd(t.e, t.q) != 1:
         raise NotCoprime(f"gcd(e, q) = gcd({t.e}, {t.q}) != 1")

@@ -3,6 +3,7 @@
 import io
 import json
 import sys
+import time
 
 import pytest
 
@@ -192,6 +193,34 @@ class TestVerify:
         )
         assert code == EX_OK
         assert out == ["report identity=1 nonzero=0 pairwise_coprime=1 theorem_grade=0"]
+
+
+class TestHugeP:
+    VERIFY_ONES = ["--x", "1", "--y", "1", "--z", "1", "--m", "1", "--w", "0"]
+
+    def test_large_prime_is_accepted_quickly(self, capsys):
+        start = time.perf_counter()
+        code, out, _ = run_lines(capsys, ["verify", "--p", "1000000000000000003"] + self.VERIFY_ONES)
+        assert time.perf_counter() - start < 2
+        assert code == EX_OK
+        assert out == ["report identity=1 nonzero=0 pairwise_coprime=1 theorem_grade=0"]
+
+    def test_large_semiprime_is_usage_error(self, capsys):
+        start = time.perf_counter()
+        p = str((10**9 + 7) * (10**9 + 9))
+        code, out, err = run_lines(capsys, ["verify", "--p", p] + self.VERIFY_ONES)
+        assert time.perf_counter() - start < 2
+        assert code == EX_USAGE
+        assert out == []
+        assert "must be prime" in err
+
+    def test_p_past_deterministic_range_is_usage_error(self, capsys):
+        # 2**89 - 1 is prime, but beyond the range where the primality
+        # check is exact, so it is refused rather than guessed at.
+        code, out, err = run_lines(capsys, ["verify", "--p", str(2**89 - 1)] + self.VERIFY_ONES)
+        assert code == EX_USAGE
+        assert out == []
+        assert "too large" in err
 
 
 class TestSearch:

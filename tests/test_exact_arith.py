@@ -160,3 +160,24 @@ class TestIsPrime:
     def test_square_of_prime(self):
         assert not is_prime(49)
         assert not is_prime(121)
+
+    def test_agrees_with_trial_division(self):
+        def by_trial(n):
+            return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
+
+        for n in range(20000):
+            assert is_prime(n) == by_trial(n)
+
+    def test_large_primes_and_strong_pseudoprimes(self):
+        for n in (10**9 + 7, 2**61 - 1, 1000000000000000003, 2**64 - 59):
+            assert is_prime(n)
+        # Carmichael numbers, a semiprime, and the smallest strong
+        # pseudoprimes to the first 4, 9 and 12 prime bases.
+        for n in (561, 41041, (10**9 + 7) * (10**9 + 9), 3215031751,
+                  3825123056546413051, 318665857834031151167461):
+            assert not is_prime(n)
+
+    def test_undecided_above_the_deterministic_range(self):
+        with pytest.raises(ValueError):
+            is_prime(2**89 - 1)
+        assert not is_prime(2**89)

@@ -4,7 +4,8 @@ import math
 
 import pytest
 
-from zwform.errors import ZeroZ
+from zwform import oracle
+from zwform.errors import NotDivisible, ZeroZ
 from zwform.oracle import (
     EnumerationStats,
     SearchBounds,
@@ -201,3 +202,17 @@ class TestIdentityFuzz:
             except ZeroZ:
                 continue
             assert sol.x ** 3 - sol.m * sol.y ** 3 == sol.z * sol.w
+
+    @pytest.mark.parametrize("broken", ["off_by_one", "not_divisible"])
+    def test_bracket_failure_is_reported(self, monkeypatch, broken):
+        # A wrong quotient and an inexact q**p division are one failure class.
+        def fake_eval_w(t, z, y):
+            if broken == "not_divisible":
+                raise NotDivisible("bracket")
+            return oracle.generate(t).w + 1
+
+        monkeypatch.setattr(oracle, "eval_w", fake_eval_w)
+        report = identity_fuzz(3, 4, 50, seed=5)
+        assert report.solutions_found > 0
+        assert report.decompose_success == 0
+        assert {why for _, why in report.failures} == {"failed: bracket divisibility"}

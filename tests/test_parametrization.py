@@ -5,8 +5,10 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from zwform.errors import NotCoprime, WrongExponent, ZeroZ
+from zwform.decomposition import decompose
+from zwform.errors import DegenerateE, NotCoprime, WrongExponent, ZeroZ
 from zwform.exact_arith import ipow
+from zwform.oracle import SearchBounds, enumerate_solutions, sample_tuples
 from zwform.parametrization import (
     ParameterTuple,
     Solution,
@@ -16,6 +18,7 @@ from zwform.parametrization import (
     eval_y,
     eval_z,
     generate,
+    generate_reference,
     is_theorem_grade,
 )
 
@@ -84,6 +87,52 @@ class TestGenerateFrozen:
     def test_common_factor_l_q_raises(self):
         with pytest.raises(NotCoprime):
             generate(ParameterTuple(2, 1, 1, 1, 2, 2, 1, 1))
+
+
+def assert_matches_reference(t):
+    """generate(t) equals generate_reference(t), or both raise ZeroZ.
+
+    Returns True when the tuple hit ZeroZ.
+    """
+    try:
+        ref = generate_reference(t)
+    except ZeroZ:
+        with pytest.raises(ZeroZ):
+            generate(t)
+        return True
+    assert generate(t) == ref, t
+    return False
+
+
+class TestReferenceGate:
+    """The telescoped generate against the paper-literal sums."""
+
+    def test_sampled_tuples(self):
+        checked = zero_e = zero_z = 0
+        for p in (2, 3, 5, 7, 11, 13):
+            for limit in (1, 2, 5, 30):
+                for t in sample_tuples(p, limit, 2500, seed=1000 * p + limit):
+                    checked += 1
+                    zero_e += t.e == 0
+                    zero_z += assert_matches_reference(t)
+        assert checked == 60000
+        assert zero_e > 1000 and zero_z > 1000
+
+    def test_tuples_recovered_from_box(self):
+        checked = 0
+        for p in (2, 3):
+            for sol in enumerate_solutions(SearchBounds(p, 8, -8, 8)):
+                try:
+                    tup, _ = decompose(sol)
+                except DegenerateE:
+                    continue
+                assert not assert_matches_reference(tup)
+                checked += 1
+        assert checked > 10000
+
+    def test_large_p(self):
+        t = ParameterTuple(101, 1000, 1, 1, 1, 1, 1, 1)
+        assert generate(t) == generate_reference(t)
 
 
 class TestDickson:
