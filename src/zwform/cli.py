@@ -73,6 +73,10 @@ _SOLUTION_LINE = {
     "text": "solution p=%d x=%d y=%d z=%d m=%d w=%d\n",
 }
 
+# search writes at most this many records per write call, so the text it holds
+# at a time stays a few kilobytes however many solutions one m has.
+_WRITE_RECORDS = 256
+
 
 def _tuple_record(t: ParameterTuple) -> dict:
     return _record("tuple", p=t.p, e=t.e, f=t.f, g=t.g, l=t.l, q=t.q, n=t.n, r=t.r)
@@ -239,8 +243,9 @@ def _cmd_search(args) -> int:
     stats = EnumerationStats()
     try:
         for m, sols in scan(bounds, stats, jobs=args.jobs):
-            if sols:
-                stream.write("".join([line % (p, x, y, z, m, w) for x, y, z, w in sols]))
+            for i in range(0, len(sols), _WRITE_RECORDS):
+                stream.write("".join([line % (p, x, y, z, m, w)
+                                      for x, y, z, w in sols[i:i + _WRITE_RECORDS]]))
         _emit(_record("report", counts=_str_counts(stats.as_counts())), fmt, stream)
     finally:
         if stream is not sys.stdout:

@@ -1,5 +1,6 @@
 """Command line behavior: records, exit codes, parsing, and determinism."""
 
+import contextlib
 import io
 import json
 import sys
@@ -8,8 +9,8 @@ import time
 import pytest
 
 from zwform.cli import (
-    EX_DOMAIN, EX_INTERNAL, EX_IOERR, EX_OK, EX_USAGE, _emit, _record, _solution_record,
-    _str_counts, run,
+    EX_DOMAIN, EX_INTERNAL, EX_IOERR, EX_OK, EX_USAGE, _WRITE_RECORDS, _emit, _record,
+    _solution_record, _str_counts, run,
 )
 from zwform.oracle import SearchBounds, enumerate_solutions, stream_solutions
 
@@ -307,6 +308,26 @@ class TestSearch:
                     "--format", fmt, "--jobs", str(jobs)])
         assert code == EX_OK
         assert capsys.readouterr().out == expected.getvalue()
+
+    def test_writes_are_bounded(self):
+        # m = -1 has more than _WRITE_RECORDS solutions in this box, so its
+        # records take several writes, and the stream stays the same.
+        bounds = SearchBounds(2, 8, -2, 0)
+        expected = io.StringIO()
+        for sol in enumerate_solutions(bounds):
+            _emit(_solution_record(sol), "text", expected)
+        stats = stream_solutions(bounds, lambda sol: None)
+        _emit(_record("report", counts=_str_counts(stats.as_counts())), "text", expected)
+        assert expected.getvalue().count(" m=-1 ") > _WRITE_RECORDS
+
+        writes = []
+        recorder = type("Recorder", (), {"write": staticmethod(writes.append),
+                                         "flush": staticmethod(lambda: None)})()
+        with contextlib.redirect_stdout(recorder):
+            code = run(["search", "--p", "2", "--bound", "8", "--m", "-2..0"])
+        assert code == EX_OK
+        assert "".join(writes) == expected.getvalue()
+        assert max(text.count("\n") for text in writes) == _WRITE_RECORDS
 
     def test_deterministic_stdout(self, capsys):
         argv = ["search", "--p", "2", "--bound", "4", "--m", "-3..3"]
