@@ -26,9 +26,11 @@ import sys
 
 from .decomposition import decompose
 from .errors import DegenerateE, NotCoprime, NotTheoremGrade, ZeroZ, ZwformError
-from .exact_arith import gcd, is_prime
-from .oracle import EnumerationStats, SearchBounds, identity_fuzz, roundtrip_check, scan
-from .parametrization import ParameterTuple, Solution, generate
+from .exact_arith import is_prime
+from .oracle import (
+    SCAN_COUNTERS, SearchBounds, SearchReport, identity_fuzz, roundtrip_check, scan,
+)
+from .parametrization import ParameterTuple, Solution, generate, theorem_grade_flags
 
 EX_OK = 0
 EX_INTERNAL = 1
@@ -199,20 +201,11 @@ def _cmd_decompose(args) -> int:
 
 def _cmd_verify(args) -> int:
     _require_prime(args.p)
-    sol = Solution(args.p, args.x, args.y, args.z, args.m, args.w)
-    identity = sol.identity_holds()
-    nonzero = all(v != 0 for v in (sol.x, sol.y, sol.z, sol.m, sol.w))
-    coprime = (
-        gcd(sol.x, sol.y) == 1 and gcd(sol.x, sol.z) == 1 and gcd(sol.y, sol.z) == 1
-    )
-    counts = {
-        "identity": "1" if identity else "0",
-        "nonzero": "1" if nonzero else "0",
-        "pairwise_coprime": "1" if coprime else "0",
-        "theorem_grade": "1" if identity and nonzero and coprime else "0",
-    }
+    flags = theorem_grade_flags(Solution(args.p, args.x, args.y, args.z, args.m, args.w))
+    flags["theorem_grade"] = all(flags.values())
+    counts = {name: "1" if ok else "0" for name, ok in flags.items()}
     _emit(_record("report", counts=counts), args.format, sys.stdout)
-    return EX_OK if identity else EX_DOMAIN
+    return EX_OK if flags["identity"] else EX_DOMAIN
 
 
 def _search_bounds(args) -> SearchBounds:
@@ -240,13 +233,14 @@ def _cmd_search(args) -> int:
         stream = sys.stdout
     line = _SOLUTION_LINE[fmt]
     p = bounds.p
-    stats = EnumerationStats()
+    stats = SearchReport()
     try:
         for m, sols in scan(bounds, stats, jobs=args.jobs):
             for i in range(0, len(sols), _WRITE_RECORDS):
                 stream.write("".join([line % (p, x, y, z, m, w)
                                       for x, y, z, w in sols[i:i + _WRITE_RECORDS]]))
-        _emit(_record("report", counts=_str_counts(stats.as_counts())), fmt, stream)
+        counts = {name: str(getattr(stats, name)) for name in SCAN_COUNTERS}
+        _emit(_record("report", counts=counts), fmt, stream)
     finally:
         if stream is not sys.stdout:
             stream.close()
@@ -263,8 +257,8 @@ def _cmd_roundtrip(args) -> int:
     counts.update({f"fuzz_{key}": value for key, value in _str_counts(fuzz.as_counts()).items()})
     _emit(_record("report", counts=counts), args.format, sys.stdout)
     if report.failures or fuzz.failures:
-        for subject, why in (report.failures + fuzz.failures)[:20]:
-            print(f"failure: {subject} ({why})", file=sys.stderr)
+        for subject, kind, detail in (report.failures + fuzz.failures)[:20]:
+            print(f"failure: {kind.name}: {subject}: {detail}", file=sys.stderr)
         return EX_INTERNAL
     return EX_OK
 

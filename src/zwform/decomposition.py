@@ -27,8 +27,10 @@ from dataclasses import dataclass
 from math import gcd
 
 from .exact_arith import exact_div, extgcd, mod_inverse
-from .errors import DegenerateE, NotCoprime, NotTheoremGrade, RoundTripMismatch
-from .parametrization import ParameterTuple, Solution, generate
+from .errors import (
+    ConstraintViolation, DegenerateE, NotCoprime, NotTheoremGrade, RegenerateMismatch,
+)
+from .parametrization import ParameterTuple, Solution, generate, theorem_grade_flags
 
 
 @dataclass(frozen=True)
@@ -117,24 +119,21 @@ def residual_n(y: int, e: int, l: int, r: int, q: int, p: int) -> int:
     return exact_div(y - e ** (p - 2) * l ** (p - 1) * r, q)
 
 
-def _require_theorem_grade(sol: Solution) -> None:
-    if 0 in (sol.x, sol.y, sol.z, sol.m, sol.w):
-        raise NotTheoremGrade(f"x, y, z, m, w must all be nonzero, got {sol}")
-    if gcd(sol.x, sol.y) != 1 or gcd(sol.x, sol.z) != 1 or gcd(sol.y, sol.z) != 1:
-        raise NotTheoremGrade(f"x, y, z must be pairwise coprime, got {sol}")
-    if not sol.identity_holds():
-        raise NotTheoremGrade(f"x**p - m*y**p != z*w for {sol}")
-
-
 def decompose(sol: Solution) -> tuple[ParameterTuple, DecompositionTrace]:
     """Run the full pipeline and return (tuple, trace).
 
     Postconditions checked before returning: q != 0, the three coprimality
     constraints gcd(e,q) == gcd(l,q) == gcd(n,r) == 1, and that
-    generate(tuple) reproduces sol field by field. A violation of any of
-    them raises RoundTripMismatch and means a bug, not bad input.
+    generate(tuple) reproduces sol field by field. A violation raises
+    ConstraintViolation or RegenerateMismatch and means a bug, not bad input.
     """
-    _require_theorem_grade(sol)
+    flags = theorem_grade_flags(sol)
+    if not flags["nonzero"]:
+        raise NotTheoremGrade(f"x, y, z, m, w must all be nonzero, got {sol}")
+    if not flags["pairwise_coprime"]:
+        raise NotTheoremGrade(f"x, y, z must be pairwise coprime, got {sol}")
+    if not flags["identity"]:
+        raise NotTheoremGrade(f"x**p - m*y**p != z*w for {sol}")
     p = sol.p
     a, b = bezout_nonzero(sol.x, sol.z)
     c, d = bezout_nonzero(sol.y, sol.z)
@@ -150,10 +149,10 @@ def decompose(sol: Solution) -> tuple[ParameterTuple, DecompositionTrace]:
     n = residual_n(sol.y, e, l, r, q, p)
     tup = ParameterTuple(p, e, f, g, l, q, n, r)
     if not tup.satisfies_gcd_constraints():
-        raise RoundTripMismatch(f"coprimality postcondition failed for {tup}")
+        raise ConstraintViolation(f"coprimality postcondition failed for {tup}")
     regen = generate(tup)
     if regen != sol:
-        raise RoundTripMismatch(f"generate({tup}) gave {regen}, expected {sol}")
+        raise RegenerateMismatch(f"generate({tup}) gave {regen}, expected {sol}")
     return tup, DecompositionTrace(a, b, c, d, h, u, q, r, e, l, f, g, n)
 
 

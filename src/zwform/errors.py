@@ -70,3 +70,11 @@ class IdentityViolation(ZwformError):
 
 class RoundTripMismatch(ZwformError):
     """A decompose postcondition failed to reproduce its input. Always a bug."""
+
+
+class ConstraintViolation(RoundTripMismatch):
+    """A recovered tuple fails gcd(e,q) == gcd(l,q) == gcd(n,r) == 1."""
+
+
+class RegenerateMismatch(RoundTripMismatch):
+    """generate() of a recovered tuple differs from the decomposed solution."""

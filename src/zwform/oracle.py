@@ -15,13 +15,16 @@ serialized.
 
 from __future__ import annotations
 
+import enum
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from functools import lru_cache
 from math import gcd
 
 from .decomposition import decompose, trace_identities
-from .errors import DegenerateE, NotDivisible, ZwformError
+from .errors import (
+    ConstraintViolation, DegenerateE, NotDivisible, RegenerateMismatch, ZwformError,
+)
 from .exact_arith import is_prime
 from .parametrization import ParameterTuple, Solution, eval_w, eval_z, generate
 
@@ -44,38 +47,36 @@ class SearchBounds:
             raise ValueError(f"empty m range [{self.m_min}, {self.m_max}]")
 
 
-@dataclass
-class EnumerationStats:
-    """Counters from one enumeration pass.
+# The counters one scan fills, in the order the search report lists them.
+SCAN_COUNTERS = ("instances_checked", "solutions_found", "filtered_zero_m", "filtered_zero_w")
 
-    instances_checked counts (m, triple) divisibility tests on nonzero m.
-    Instances skipped for m == 0 and instances whose quotient w would be 0
-    are filtered out of the results but counted here for transparency.
+
+class Failure(enum.Enum):
+    """The category of a failures entry; the value names it in details.
+
+    The round trip gives EXCEPTION, CONSTRAINT (ConstraintViolation),
+    REGENERATE (RegenerateMismatch) and TRACE; identity_fuzz gives
+    EXCEPTION and one member per relation it checks.
     """
 
-    instances_checked: int = 0
-    solutions_found: int = 0
-    filtered_zero_m: int = 0
-    filtered_zero_w: int = 0
-
-    def absorb(self, other: "EnumerationStats") -> None:
-        self.instances_checked += other.instances_checked
-        self.solutions_found += other.solutions_found
-        self.filtered_zero_m += other.filtered_zero_m
-        self.filtered_zero_w += other.filtered_zero_w
-
-    def as_counts(self) -> dict[str, int]:
-        return {
-            "instances_checked": self.instances_checked,
-            "solutions_found": self.solutions_found,
-            "filtered_zero_m": self.filtered_zero_m,
-            "filtered_zero_w": self.filtered_zero_w,
-        }
+    EXCEPTION = "exception"
+    CONSTRAINT = "constraint"
+    REGENERATE = "regenerate"
+    TRACE = "trace"
+    IDENTITY = "identity"
+    LINE = "line relation"
+    NORM = "norm relation"
+    BRACKET = "bracket divisibility"
 
 
 @dataclass
 class SearchReport:
-    """Round-trip / fuzz statistics.
+    """Counters of a scan, a round trip or an identity fuzz.
+
+    instances_checked counts (m, triple) divisibility tests on nonzero m.
+    Instances skipped for m == 0 and instances whose quotient w would be 0
+    are filtered out of the results but counted for transparency. Each
+    failures entry is (subject, Failure, detail), one per failed subject.
 
     Invariant: decompose_success + degenerate_e + len(failures) equals
     solutions_found. For identity fuzzing, "decompose_success" counts tuples
@@ -98,24 +99,13 @@ class SearchReport:
         )
 
     def absorb(self, other: "SearchReport") -> None:
-        self.instances_checked += other.instances_checked
-        self.solutions_found += other.solutions_found
-        self.decompose_success += other.decompose_success
-        self.degenerate_e += other.degenerate_e
-        self.failures.extend(other.failures)
-        self.filtered_zero_m += other.filtered_zero_m
-        self.filtered_zero_w += other.filtered_zero_w
+        for f in fields(self):
+            setattr(self, f.name, getattr(self, f.name) + getattr(other, f.name))
 
     def as_counts(self) -> dict[str, int]:
-        return {
-            "instances_checked": self.instances_checked,
-            "solutions_found": self.solutions_found,
-            "decompose_success": self.decompose_success,
-            "degenerate_e": self.degenerate_e,
-            "failures": len(self.failures),
-            "filtered_zero_m": self.filtered_zero_m,
-            "filtered_zero_w": self.filtered_zero_w,
-        }
+        counts = {f.name: getattr(self, f.name) for f in fields(self)}
+        counts["failures"] = len(self.failures)
+        return counts
 
 
 @lru_cache(maxsize=4)
@@ -157,8 +147,8 @@ def scan(bounds: SearchBounds, stats, jobs: int = 1):
     """Yield (m, [(x, y, z, w), ...]) for every nonzero m in range, ascending.
 
     This is the package's one enumeration loop. Each batch lists the m's
-    solutions in (x, y, z) order. The counters of stats (an EnumerationStats
-    or a SearchReport) grow as the scan goes and are complete once the
+    solutions in (x, y, z) order. The SCAN_COUNTERS of stats (a
+    SearchReport) grow as the scan goes and are complete once the
     generator is exhausted. With jobs == 1 each m is scanned only when the
     consumer asks for its batch; otherwise the m range is split into chunks
     that worker processes scan, and their batches are yielded in range
@@ -188,15 +178,15 @@ def scan(bounds: SearchBounds, stats, jobs: int = 1):
         yield m, sols
 
 
-def _scan_chunk(bounds: SearchBounds) -> tuple[EnumerationStats, list]:
+def _scan_chunk(bounds: SearchBounds) -> tuple[SearchReport, list]:
     """Worker: the stats and the batches of one m chunk."""
-    stats = EnumerationStats()
+    stats = SearchReport()
     return stats, list(scan(bounds, stats))
 
 
 def _roundtrip_chunk(bounds: SearchBounds) -> SearchReport:
-    """Worker: enumerate one m chunk and push every solution through the
-    decompose -> generate round trip, auditing traces and constraints."""
+    """Worker: enumerate one m chunk, decompose every solution (decompose
+    checks the constraints and the regenerate itself) and audit its trace."""
     p = bounds.p
     rep = SearchReport()
     for m, sols in scan(bounds, rep):
@@ -207,19 +197,18 @@ def _roundtrip_chunk(bounds: SearchBounds) -> SearchReport:
             except DegenerateE:
                 rep.degenerate_e += 1
                 continue
-            except ZwformError as exc:
-                rep.failures.append((sol, f"exception {type(exc).__name__}: {exc}"))
+            except ConstraintViolation as exc:
+                rep.failures.append((sol, Failure.CONSTRAINT, str(exc)))
                 continue
-            problems = []
-            if generate(tup) != sol:
-                problems.append("regenerate mismatch")
-            if tup.q == 0 or not tup.satisfies_gcd_constraints():
-                problems.append("constraint violation")
+            except RegenerateMismatch as exc:
+                rep.failures.append((sol, Failure.REGENERATE, str(exc)))
+                continue
+            except ZwformError as exc:
+                rep.failures.append((sol, Failure.EXCEPTION, f"{type(exc).__name__}: {exc}"))
+                continue
             bad = [name for name, ok in trace_identities(sol, trace).items() if not ok]
             if bad:
-                problems.append("trace identity violation: " + ",".join(bad))
-            if problems:
-                rep.failures.append((sol, "; ".join(problems)))
+                rep.failures.append((sol, Failure.TRACE, ",".join(bad)))
             else:
                 rep.decompose_success += 1
     return rep
@@ -236,14 +225,14 @@ def _run_chunks(worker, bounds: SearchBounds, jobs: int) -> list:
         return list(pool.map(worker, chunks))
 
 
-def stream_solutions(bounds: SearchBounds, sink, jobs: int = 1) -> EnumerationStats:
+def stream_solutions(bounds: SearchBounds, sink, jobs: int = 1) -> SearchReport:
     """Feed every enumerated Solution to sink in (m, x, y, z) order.
 
     The order, and therefore anything serialized from it, is independent of
     jobs: chunks cover disjoint ascending m ranges and are drained in range
-    order.
+    order. Only the SCAN_COUNTERS of the returned report are filled.
     """
-    stats = EnumerationStats()
+    stats = SearchReport()
     p = bounds.p
     for m, sols in scan(bounds, stats, jobs):
         for x, y, z, w in sols:
@@ -265,10 +254,11 @@ def enumerate_solutions(bounds: SearchBounds, jobs: int = 1) -> list[Solution]:
 def roundtrip_check(bounds: SearchBounds, jobs: int = 1) -> SearchReport:
     """Decompose every enumerated solution and verify the round trip.
 
-    Each successful decomposition is audited: the regenerated solution must
-    equal the original, the tuple must satisfy the coprimality constraints,
-    and every trace identity must hold exactly. Anything short of that is
-    recorded in failures; e == 0 degeneracies are counted separately.
+    Each decomposition is audited: decompose itself checks that the tuple
+    satisfies the coprimality constraints and regenerates the original, and
+    every trace identity must hold exactly. Anything short of that is
+    recorded in failures under its Failure category; e == 0 degeneracies
+    are counted separately.
     """
     report = SearchReport()
     for piece in _run_chunks(_roundtrip_chunk, bounds, jobs):
@@ -351,24 +341,23 @@ def identity_fuzz(p: int, limit: int, count: int, seed: int) -> SearchReport:
         try:
             sol = generate(t)
         except ZwformError as exc:
-            report.failures.append((t, f"exception {type(exc).__name__}: {exc}"))
+            report.failures.append((t, Failure.EXCEPTION, f"{type(exc).__name__}: {exc}"))
             continue
         u = t.e * t.l + t.f * t.q
-        problems = []
-        if sol.x ** p - sol.m * sol.y ** p != sol.z * sol.w:
-            problems.append("identity")
-        if t.q * sol.x != -sol.z * t.r + u * sol.y:
-            problems.append("line relation")
-        if sol.z * t.e != u ** p - sol.m * t.q ** p:
-            problems.append("norm relation")
         try:
             bracket_ok = eval_w(t, sol.z, sol.y) == sol.w
         except NotDivisible:
             bracket_ok = False
-        if not bracket_ok:
-            problems.append("bracket divisibility")
-        if problems:
-            report.failures.append((t, "failed: " + ", ".join(problems)))
+        checks = {
+            Failure.IDENTITY: sol.x ** p - sol.m * sol.y ** p == sol.z * sol.w,
+            Failure.LINE: t.q * sol.x == -sol.z * t.r + u * sol.y,
+            Failure.NORM: sol.z * t.e == u ** p - sol.m * t.q ** p,
+            Failure.BRACKET: bracket_ok,
+        }
+        failed = [kind for kind, ok in checks.items() if not ok]
+        if failed:
+            detail = "failed: " + ", ".join(kind.value for kind in failed)
+            report.failures.append((t, failed[0], detail))
         else:
             report.decompose_success += 1
     return report

@@ -101,20 +101,22 @@ class Solution:
         return self.x ** self.p - self.m * self.y ** self.p == self.z * self.w
 
 
-def is_theorem_grade(sol: Solution) -> bool:
-    """All five fields nonzero, x, y, z pairwise coprime, identity exact.
+def theorem_grade_flags(sol: Solution) -> dict[str, bool]:
+    """The hypotheses under which decomposition is guaranteed to work, by name.
 
-    These are the hypotheses under which decomposition is guaranteed to
-    work; generate() itself can emit solutions that fail them (zero or
+    generate() itself can emit solutions that fail them (zero or
     non-coprime fields are fine in the forward direction).
     """
-    return (
-        0 not in (sol.x, sol.y, sol.z, sol.m, sol.w)
-        and gcd(sol.x, sol.y) == 1
-        and gcd(sol.x, sol.z) == 1
-        and gcd(sol.y, sol.z) == 1
-        and sol.identity_holds()
-    )
+    return {
+        "identity": sol.identity_holds(),
+        "nonzero": 0 not in (sol.x, sol.y, sol.z, sol.m, sol.w),
+        "pairwise_coprime": gcd(sol.x, sol.y) == gcd(sol.x, sol.z) == gcd(sol.y, sol.z) == 1,
+    }
+
+
+def is_theorem_grade(sol: Solution) -> bool:
+    """All three flags of theorem_grade_flags hold."""
+    return all(theorem_grade_flags(sol).values())
 
 
 def eval_y(t: ParameterTuple) -> int:

@@ -10,9 +10,12 @@ import pytest
 
 from zwform.cli import (
     EX_DOMAIN, EX_INTERNAL, EX_IOERR, EX_OK, EX_USAGE, _WRITE_RECORDS, _emit, _record,
-    _solution_record, _str_counts, run,
+    _solution_record, run,
 )
+from zwform.decomposition import decompose
+from zwform.errors import NotTheoremGrade
 from zwform.oracle import SearchBounds, enumerate_solutions, stream_solutions
+from zwform.parametrization import Solution, is_theorem_grade
 
 
 def run_lines(capsys, argv):
@@ -23,6 +26,12 @@ def run_lines(capsys, argv):
 
 def json_records(lines):
     return [json.loads(line) for line in lines]
+
+
+def search_report(stats):
+    """The report record search writes: the four scan counters, in this order."""
+    keys = ("instances_checked", "solutions_found", "filtered_zero_m", "filtered_zero_w")
+    return _record("report", counts={key: str(getattr(stats, key)) for key in keys})
 
 
 class TestGenerate:
@@ -196,6 +205,48 @@ class TestVerify:
         assert out == ["report identity=1 nonzero=0 pairwise_coprime=1 theorem_grade=0"]
 
 
+class TestTheoremGradeParity:
+    """verify, is_theorem_grade and decompose read the same three hypotheses.
+
+    The CLI outcomes are pinned byte for byte. A broken identity never reaches
+    decompose through the CLI, which rejects an inconsistent --w itself, so its
+    NotTheoremGrade message is checked through the library call.
+    """
+
+    @pytest.mark.parametrize("fields, flags, code, out, err, library_error", [
+        ((1, 2, 5, -1, 1), "identity=1 nonzero=1 pairwise_coprime=1 theorem_grade=1", EX_OK,
+         ["solution p=2 x=1 y=2 z=5 m=-1 w=1", "tuple p=2 e=1 f=-2 g=5 l=0 q=1 n=2 r=-1"],
+         "", None),
+        ((2, 1, 3, 4, 0), "identity=1 nonzero=0 pairwise_coprime=1 theorem_grade=0", EX_DOMAIN,
+         ["error NotTheoremGrade"],
+         "error: x, y, z, m, w must all be nonzero, got Solution(p=2, x=2, y=1, z=3, m=4, w=0)\n",
+         "x, y, z, m, w must all be nonzero, got Solution(p=2, x=2, y=1, z=3, m=4, w=0)"),
+        ((3, 6, 1, 1, -27), "identity=1 nonzero=1 pairwise_coprime=0 theorem_grade=0", EX_DOMAIN,
+         ["error NotTheoremGrade"],
+         "error: x, y, z must be pairwise coprime, got Solution(p=2, x=3, y=6, z=1, m=1, w=-27)\n",
+         "x, y, z must be pairwise coprime, got Solution(p=2, x=3, y=6, z=1, m=1, w=-27)"),
+        ((1, 2, 5, -1, 2), "identity=0 nonzero=1 pairwise_coprime=1 theorem_grade=0", EX_DOMAIN,
+         ["error InconsistentW"], "error: z*w = 10 but x**p - m*y**p = 5\n",
+         "x**p - m*y**p != z*w for Solution(p=2, x=1, y=2, z=5, m=-1, w=2)"),
+    ], ids=["theorem_grade", "zero_field", "not_coprime", "broken_identity"])
+    def test_one_predicate(self, capsys, fields, flags, code, out, err, library_error):
+        argv = ["--p", "2"]
+        for name, value in zip("xyzmw", fields):
+            argv += [f"--{name}", str(value)]
+        identity = flags.startswith("identity=1")
+        assert run_lines(capsys, ["verify"] + argv) == (
+            EX_OK if identity else EX_DOMAIN, [f"report {flags}"], "")
+        sol = Solution(2, *fields)
+        assert is_theorem_grade(sol) == flags.endswith("theorem_grade=1")
+        assert run_lines(capsys, ["decompose"] + argv) == (code, out, err)
+        if library_error is None:
+            decompose(sol)
+        else:
+            with pytest.raises(NotTheoremGrade) as caught:
+                decompose(sol)
+            assert str(caught.value) == library_error
+
+
 class TestHugeP:
     VERIFY_ONES = ["--x", "1", "--y", "1", "--z", "1", "--m", "1", "--w", "0"]
 
@@ -303,7 +354,7 @@ class TestSearch:
             _emit(_solution_record(sol), fmt, expected)
         stats = stream_solutions(bounds, lambda sol: None)
         assert stats.filtered_zero_m > 0
-        _emit(_record("report", counts=_str_counts(stats.as_counts())), fmt, expected)
+        _emit(search_report(stats), fmt, expected)
         code = run(["search", "--p", "3", "--bound", "5", "--m", "-4..3",
                     "--format", fmt, "--jobs", str(jobs)])
         assert code == EX_OK
@@ -317,7 +368,7 @@ class TestSearch:
         for sol in enumerate_solutions(bounds):
             _emit(_solution_record(sol), "text", expected)
         stats = stream_solutions(bounds, lambda sol: None)
-        _emit(_record("report", counts=_str_counts(stats.as_counts())), "text", expected)
+        _emit(search_report(stats), "text", expected)
         assert expected.getvalue().count(" m=-1 ") > _WRITE_RECORDS
 
         writes = []

@@ -179,6 +179,13 @@ class TestDecompose:
         with pytest.raises(NotTheoremGrade):
             decompose(Solution(2, 1, 2, 5, -1, 2))
 
+    def test_first_failed_hypothesis_is_reported(self):
+        # Nonzero is checked first, then coprimality, then the identity.
+        with pytest.raises(NotTheoremGrade, match="must all be nonzero"):
+            decompose(Solution(2, 2, 4, 0, 1, 5))
+        with pytest.raises(NotTheoremGrade, match="pairwise coprime"):
+            decompose(Solution(2, 2, 4, 1, 1, 5))
+
     def test_mini_sweep_roundtrip(self):
         degenerate = 0
         total = 0

@@ -1,13 +1,16 @@
 """Brute-force enumeration, round-trip batches, and the seeded fuzzer."""
 
+import dataclasses
 import math
 
 import pytest
 
-from zwform import oracle
+from test_acceptance import A3_FAILURES, A4_FAILURES, A5_FAILURES, select_failures
+from zwform import decomposition, oracle
 from zwform.errors import NotDivisible, ZeroZ
 from zwform.oracle import (
-    EnumerationStats,
+    SCAN_COUNTERS,
+    Failure,
     SearchBounds,
     SearchReport,
     SplitMix64,
@@ -104,12 +107,15 @@ class TestEnumerate:
             ),
         }
         assert expected["filtered_zero_w"] > 0
+        assert tuple(expected) == SCAN_COUNTERS
         bounds = SearchBounds(p, bound, m_min, m_max)
         for jobs in (1, 3):
             out = []
-            stats = EnumerationStats()
+            stats = SearchReport()
             stats.absorb(stream_solutions(bounds, out.append, jobs=jobs))
-            assert stats.as_counts() == expected
+            assert stats.as_counts() == {
+                **expected, "decompose_success": 0, "degenerate_e": 0, "failures": 0,
+            }
             assert len(out) == expected["solutions_found"]
             report = roundtrip_check(bounds, jobs=jobs)
             assert {key: report.as_counts()[key] for key in expected} == expected
@@ -133,8 +139,52 @@ class TestRoundtripCheck:
     def test_report_consistency_helper(self):
         rep = SearchReport(solutions_found=3, decompose_success=2, degenerate_e=1)
         assert rep.consistent()
-        rep.failures.append(("x", "y"))
+        rep.failures.append(("x", Failure.TRACE, "y"))
         assert not rep.consistent()
+
+
+def _shift_w(t):
+    sol = generate(t)
+    return dataclasses.replace(sol, w=sol.w + 1)
+
+
+def _one_false(sol, trace):
+    return {**decomposition.trace_identities(sol, trace), "line": False}
+
+
+def _not_divisible(*args):
+    raise NotDivisible("injected")
+
+
+class TestFailureCategories:
+    """Each round-trip failure class, injected, reaches exactly its acceptance gate."""
+
+    GATES = {"A3": A3_FAILURES, "A4": A4_FAILURES, "A5": A5_FAILURES}
+
+    @pytest.mark.parametrize("category, target, name, fake", [
+        (Failure.CONSTRAINT, decomposition.ParameterTuple, "satisfies_gcd_constraints",
+         lambda self: False),
+        (Failure.REGENERATE, decomposition, "generate", _shift_w),
+        (Failure.TRACE, oracle, "trace_identities", _one_false),
+        (Failure.EXCEPTION, decomposition, "residual_e", _not_divisible),
+    ], ids=["constraint", "regenerate", "trace", "exception"])
+    def test_injected_failure_reaches_its_gate(self, monkeypatch, category, target, name, fake):
+        monkeypatch.setattr(target, name, fake)
+        report = roundtrip_check(SearchBounds(2, 4, -3, 3))
+        assert report.solutions_found > 0
+        assert report.failures
+        assert {kind for _, kind, _ in report.failures} == {category}
+        assert report.consistent()
+        seen_by = {gate for gate, categories in self.GATES.items()
+                   if select_failures([report], categories)}
+        assert len(seen_by) == 1
+        assert select_failures([report], self.GATES[seen_by.pop()]) == report.failures
+
+    def test_every_category_has_a_gate(self):
+        round_trip = {Failure.EXCEPTION, Failure.CONSTRAINT, Failure.REGENERATE, Failure.TRACE}
+        assert A3_FAILURES | A4_FAILURES | A5_FAILURES == round_trip
+        assert not (A3_FAILURES & A4_FAILURES or A3_FAILURES & A5_FAILURES
+                    or A4_FAILURES & A5_FAILURES)
 
 
 class TestSplitMix64:
@@ -215,4 +265,5 @@ class TestIdentityFuzz:
         report = identity_fuzz(3, 4, 50, seed=5)
         assert report.solutions_found > 0
         assert report.decompose_success == 0
-        assert {why for _, why in report.failures} == {"failed: bracket divisibility"}
+        assert {kind for _, kind, _ in report.failures} == {Failure.BRACKET}
+        assert {detail for _, _, detail in report.failures} == {"failed: bracket divisibility"}
