@@ -25,26 +25,15 @@ from .errors import (
     IdentityViolation,
     NotCoprime,
     NotDivisible,
-    NotInvertible,
     NotTheoremGrade,
     RegenerateMismatch,
     RoundTripMismatch,
     WrongExponent,
     ZeroDivisor,
-    ZeroModulus,
     ZeroZ,
     ZwformError,
 )
-from .exact_arith import (
-    BezoutCertificate,
-    binomial,
-    exact_div,
-    extgcd,
-    gcd,
-    ipow,
-    is_prime,
-    mod_inverse,
-)
+from .exact_arith import exact_div, extgcd, is_prime
 from .oracle import (
     Failure,
     SearchBounds,
@@ -75,7 +64,6 @@ from .parametrization import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BezoutCertificate",
     "ConstraintViolation",
     "DecompositionTrace",
     "DegenerateE",
@@ -83,7 +71,6 @@ __all__ = [
     "IdentityViolation",
     "NotCoprime",
     "NotDivisible",
-    "NotInvertible",
     "NotTheoremGrade",
     "ParameterTuple",
     "RegenerateMismatch",
@@ -94,11 +81,9 @@ __all__ = [
     "SplitMix64",
     "WrongExponent",
     "ZeroDivisor",
-    "ZeroModulus",
     "ZeroZ",
     "ZwformError",
     "bezout_nonzero",
-    "binomial",
     "brahmagupta_compose",
     "decompose",
     "dickson_p2",
@@ -110,15 +95,12 @@ __all__ = [
     "eval_z",
     "exact_div",
     "extgcd",
-    "gcd",
     "generate",
     "generate_reference",
     "identity_fuzz",
-    "ipow",
     "is_prime",
     "is_theorem_grade",
     "line_coeffs",
-    "mod_inverse",
     "residual_e",
     "residual_g",
     "residual_n",

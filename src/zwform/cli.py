@@ -88,12 +88,14 @@ def _solution_record(s: Solution) -> dict:
     return _record("solution", p=s.p, x=s.x, y=s.y, z=s.z, m=s.m, w=s.w)
 
 
-def _trace_record(trace) -> dict:
-    return _record(
-        "trace",
-        e=trace.e, f=trace.f, g=trace.g, l=trace.l, q=trace.q, n=trace.n, r=trace.r,
-        a=trace.a, b=trace.b, c=trace.c, d=trace.d, h=trace.h, u=trace.u,
-    )
+def _trace_record(trace, tuple_rec: dict) -> dict:
+    # The trace's e, f, g, l, q, n, r are the tuple's: reuse their strings.
+    rec = {"kind": "trace"}
+    for key in ("e", "f", "g", "l", "q", "n", "r"):
+        rec[key] = tuple_rec[key]
+    for key in ("a", "b", "c", "d", "h", "u"):
+        rec[key] = str(getattr(trace, key))
+    return rec
 
 
 def _str_counts(counts: dict) -> dict:
@@ -193,9 +195,10 @@ def _cmd_decompose(args) -> int:
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EX_INTERNAL
     _emit(_solution_record(sol), fmt, sys.stdout)
-    _emit(_tuple_record(tup), fmt, sys.stdout)
+    tuple_rec = _tuple_record(tup)
+    _emit(tuple_rec, fmt, sys.stdout)
     if args.trace:
-        _emit(_trace_record(trace), fmt, sys.stdout)
+        _emit(_trace_record(trace, tuple_rec), fmt, sys.stdout)
     return EX_OK
 
 

@@ -26,14 +26,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from .exact_arith import exact_div, extgcd, mod_inverse
+from .exact_arith import exact_div, extgcd
 from .errors import (
     ConstraintViolation, DegenerateE, NotCoprime, NotTheoremGrade, RegenerateMismatch,
 )
 from .parametrization import ParameterTuple, Solution, generate, theorem_grade_flags
 
 
-@dataclass(frozen=True)
+@dataclass
 class DecompositionTrace:
     """Every intermediate of one decomposition run, for audits and tests."""
 
@@ -60,12 +60,12 @@ def bezout_nonzero(v: int, z: int) -> tuple[int, int]:
     replacement is itself nonzero). For z == 0 coprimality forces v == +-1
     and (v, 0) is returned.
     """
-    cert = extgcd(v, z)
-    if cert.g != 1:
-        raise NotCoprime(f"gcd({v}, {z}) = {cert.g} != 1")
+    g, a, b = extgcd(v, z)
+    if g != 1:
+        raise NotCoprime(f"gcd({v}, {z}) = {g} != 1")
     if z == 0:
         return v, 0
-    a, b = cert.a, -cert.b
+    b = -b
     if a == 0:
         a, b = a + z, b + v
     return a, b
@@ -94,16 +94,17 @@ def split_u(u: int, e: int, q: int) -> tuple[int, int]:
     """Write u = e*l + f*q with the canonical 0 <= l < |q|.
 
     Solvable because gcd(e, q) == 1 in the pipeline: l is u/e modulo |q|
-    and f the exact quotient of the remainder. At |q| == 1 the convention
-    is l = 0, f = u/q. The whole family l -> l + q*t, f -> f - e*t also
-    works; this function always picks the canonical member.
+    and f the exact quotient of the remainder; an e with no inverse modulo
+    |q| raises ValueError. At |q| == 1 the convention is l = 0, f = u/q.
+    The whole family l -> l + q*t, f -> f - e*t also works; this function
+    always picks the canonical member.
     """
     mod = abs(q)
     if mod == 1:
         return 0, u // q
     if e % mod == 0:
         raise DegenerateE(f"e = {e} is 0 modulo q = {q}, cannot split u")
-    l = (mod_inverse(e, q) * u) % mod
+    l = pow(e, -1, mod) * u % mod
     return l, exact_div(u - e * l, q)
 
 

@@ -24,14 +24,6 @@ class NotDivisible(ZwformError):
     """
 
 
-class NotInvertible(ZwformError):
-    """No inverse exists modulo the given modulus."""
-
-
-class ZeroModulus(ZwformError):
-    """A modular operation was attempted with modulus 0."""
-
-
 class ZeroZ(ZwformError):
     """The closed form for z evaluates to 0, so w is undefined."""
 

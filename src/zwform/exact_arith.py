@@ -7,32 +7,16 @@ instead of approximating.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-
-from .errors import NotDivisible, NotInvertible, ZeroDivisor, ZeroModulus
+from .errors import NotDivisible, ZeroDivisor
 
 
-def gcd(s: int, t: int) -> int:
-    """Nonnegative greatest common divisor, with gcd(0, 0) == 0."""
-    return math.gcd(s, t)
-
-
-@dataclass(frozen=True)
-class BezoutCertificate:
-    """Witness that a*s + b*t == g, where g = gcd(s, t) >= 0."""
-
-    g: int
-    a: int
-    b: int
-
-
-def extgcd(s: int, t: int) -> BezoutCertificate:
+def extgcd(s: int, t: int) -> tuple[int, int, int]:
     """Extended Euclid by the standard remainder-sequence recursion.
 
-    Returns the canonical coefficients that recursion produces (negated as a
-    whole if needed so that g >= 0). Decomposition depends on this exact
-    choice for reproducible traces, so do not swap in a different variant.
+    Returns (g, a, b) with a*s + b*t == g and g = gcd(s, t) >= 0: the
+    canonical coefficients that recursion produces (negated as a whole if
+    needed so that g >= 0). Decomposition depends on this exact choice for
+    reproducible traces, so do not swap in a different variant.
     """
     old_r, r = s, t
     old_a, a = 1, 0
@@ -43,26 +27,8 @@ def extgcd(s: int, t: int) -> BezoutCertificate:
         old_a, a = a, old_a - quot * a
         old_b, b = b, old_b - quot * b
     if old_r < 0:
-        return BezoutCertificate(-old_r, -old_a, -old_b)
-    return BezoutCertificate(old_r, old_a, old_b)
-
-
-def binomial(p: int, k: int) -> int:
-    """Exact binomial coefficient C(p, k) for 0 <= k <= p."""
-    if k < 0 or k > p:
-        raise ValueError(f"binomial requires 0 <= k <= p, got p={p}, k={k}")
-    return math.comb(p, k)
-
-
-def ipow(base: int, exp: int) -> int:
-    """Exact base**exp for exp >= 0, with the convention 0**0 == 1.
-
-    The 0**0 case matters: several closed forms in this package rely on it
-    when a parameter such as e or l is 0.
-    """
-    if exp < 0:
-        raise ValueError(f"ipow requires a nonnegative exponent, got {exp}")
-    return base ** exp
+        return -old_r, -old_a, -old_b
+    return old_r, old_a, old_b
 
 
 def exact_div(num: int, den: int) -> int:
@@ -73,20 +39,6 @@ def exact_div(num: int, den: int) -> int:
     if rem:
         raise NotDivisible(f"{den} does not divide {num}")
     return quot
-
-
-def mod_inverse(a: int, q: int) -> int:
-    """Inverse of a modulo |q|, canonicalized into [0, |q|).
-
-    For |q| == 1 the result is 0 (every residue is congruent mod 1).
-    """
-    if q == 0:
-        raise ZeroModulus("modular inverse needs a nonzero modulus")
-    mod = abs(q)
-    cert = extgcd(a, mod)
-    if cert.g != 1:
-        raise NotInvertible(f"{a} has no inverse modulo {mod} (gcd {cert.g})")
-    return cert.a % mod
 
 
 # The first 13 primes: as Miller-Rabin bases they decide primality for every

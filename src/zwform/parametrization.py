@@ -13,8 +13,9 @@ solution of the equation. The paper writes the five fields as
     w = (sum_{k=0}^{p-1} C(p,k) * z**(p-k-1) * (-r)**(p-k) * (u*y)**k
          + e*y**p) / q**p          where u = e*l + f*q
 
-with the convention 0**0 == 1 throughout. When gcd(e, q) == gcd(l, q) == 1
-the division defining w is exact, because z is then coprime to q.
+with the convention 0**0 == 1 throughout, which Python's ** follows. When
+gcd(e, q) == gcd(l, q) == 1 the division defining w is exact, because z is
+then coprime to q.
 
 ``generate`` evaluates the telescoped equivalents of the three sums. The z
 sum is the binomial expansion of u**p with its k == p term removed, divided
@@ -38,13 +39,13 @@ a**2 - m*q**2, the classical precursor of the whole construction.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
+from math import comb, gcd
 
-from .exact_arith import binomial, exact_div, ipow, is_prime
+from .exact_arith import exact_div, is_prime
 from .errors import IdentityViolation, NotCoprime, WrongExponent, ZeroZ
 
 
-@dataclass(frozen=True)
+@dataclass
 class ParameterTuple:
     """A prime exponent p and the seven generating integers.
 
@@ -78,7 +79,7 @@ class ParameterTuple:
         )
 
 
-@dataclass(frozen=True)
+@dataclass
 class Solution:
     """One instance (p, x, y, z, m, w) of x**p - m*y**p == z*w.
 
@@ -135,8 +136,8 @@ def eval_z(t: ParameterTuple) -> int:
     fq = t.f * t.q
     acc = 0
     for k in range(p):
-        acc += binomial(p, k) * ipow(e, p - k - 1) * ipow(l, p - k) * ipow(fq, k)
-    return acc + t.g * ipow(t.q, p)
+        acc += comb(p, k) * e ** (p - k - 1) * l ** (p - k) * fq ** k
+    return acc + t.g * t.q ** p
 
 
 def eval_x(t: ParameterTuple, y: int) -> int:
@@ -144,8 +145,8 @@ def eval_x(t: ParameterTuple, y: int) -> int:
     p, e, f, l, q = t.p, t.e, t.f, t.l, t.q
     acc = 0
     for k in range(1, p):
-        acc += binomial(p, k) * ipow(e, p - k - 1) * ipow(l, p - k) * ipow(f, k) * ipow(q, k - 1)
-    return e * l * t.n - (acc + t.g * ipow(q, p - 1)) * t.r + f * y
+        acc += comb(p, k) * e ** (p - k - 1) * l ** (p - k) * f ** k * q ** (k - 1)
+    return e * l * t.n - (acc + t.g * q ** (p - 1)) * t.r + f * y
 
 
 def eval_w(t: ParameterTuple, z: int, y: int) -> int:
@@ -163,9 +164,9 @@ def eval_w(t: ParameterTuple, z: int, y: int) -> int:
     uy = (e * t.l + t.f * q) * y
     acc = 0
     for k in range(p):
-        acc += binomial(p, k) * ipow(z, p - k - 1) * ipow(-r, p - k) * ipow(uy, k)
-    acc += e * ipow(y, p)
-    return exact_div(acc, ipow(q, p))
+        acc += comb(p, k) * z ** (p - k - 1) * (-r) ** (p - k) * uy ** k
+    acc += e * y ** p
+    return exact_div(acc, q ** p)
 
 
 def _exact(num: int, den: int, t: ParameterTuple) -> int:

@@ -1,6 +1,7 @@
 """Recovery pipeline: Bezout data, the exact divisions, and full round trips."""
 
 import dataclasses
+import hashlib
 import math
 
 import pytest
@@ -124,6 +125,10 @@ class TestSplitU:
                     assert e * l + f * q == u
 
 
+def _field_line(record):
+    return " ".join(str(getattr(record, f.name)) for f in dataclasses.fields(record))
+
+
 FROZEN_ROUNDTRIPS = [
     (
         Solution(2, -1, 2, 5, -1, 1),
@@ -202,6 +207,26 @@ class TestDecompose:
                 assert all(trace_identities(sol, trace).values())
         assert total > 10000
         assert degenerate < total
+
+    def test_canonical_choices_digest(self):
+        # One SHA-256 over every (tuple, trace) of the mini-sweep box pins the
+        # canonical extgcd and split_u choices in bulk. The literal predates
+        # extgcd's tuple return and split_u's pow inverse, so the code it
+        # checks did not compute it.
+        digest = hashlib.sha256()
+        count = 0
+        for p in (2, 3):
+            for sol in enumerate_solutions(SearchBounds(p, 8, -8, 8)):
+                try:
+                    tup, trace = decompose(sol)
+                except DegenerateE:
+                    continue
+                count += 1
+                digest.update(f"{_field_line(tup)} | {_field_line(trace)}\n".encode())
+        assert count == 17080
+        assert digest.hexdigest() == (
+            "4b33a879e690500a52ae2961b016a1beaa4570281fe9b03352d3f673c4f167a9"
+        )
 
 
 class TestTraceIdentities:

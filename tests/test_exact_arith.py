@@ -5,100 +5,32 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from zwform.errors import NotDivisible, NotInvertible, ZeroDivisor, ZeroModulus
-from zwform.exact_arith import (
-    BezoutCertificate,
-    binomial,
-    exact_div,
-    extgcd,
-    gcd,
-    ipow,
-    is_prime,
-    mod_inverse,
-)
-
-
-def pascal_triangle(rows):
-    tri = [[1]]
-    for _ in range(rows):
-        prev = tri[-1]
-        tri.append([1] + [prev[i] + prev[i + 1] for i in range(len(prev) - 1)] + [1])
-    return tri
-
-
-class TestGcd:
-    def test_matches_math_gcd(self):
-        for s in range(-12, 13):
-            for t in range(-12, 13):
-                assert gcd(s, t) == math.gcd(s, t)
-
-    def test_zero_zero(self):
-        assert gcd(0, 0) == 0
+from zwform.errors import NotDivisible, ZeroDivisor
+from zwform.exact_arith import exact_div, extgcd, is_prime
 
 
 class TestExtgcd:
     def test_frozen_small(self):
-        assert extgcd(3, 5) == BezoutCertificate(1, 2, -1)
-        assert extgcd(1, 5) == BezoutCertificate(1, 1, 0)
+        assert extgcd(3, 5) == (1, 2, -1)
+        assert extgcd(1, 5) == (1, 1, 0)
 
     def test_textbook_pair(self):
-        cert = extgcd(240, 46)
-        assert cert.g == 2
-        assert cert.a * 240 + cert.b * 46 == 2
+        g, a, b = extgcd(240, 46)
+        assert g == 2
+        assert a * 240 + b * 46 == 2
 
     def test_identity_exhaustive(self):
         for s in range(-100, 101):
             for t in range(-100, 101):
-                cert = extgcd(s, t)
-                assert cert.g == math.gcd(s, t)
-                assert cert.a * s + cert.b * t == cert.g
+                g, a, b = extgcd(s, t)
+                assert g == math.gcd(s, t)
+                assert a * s + b * t == g
 
     @given(st.integers(-10**60, 10**60), st.integers(-10**60, 10**60))
     def test_identity_bigint(self, s, t):
-        cert = extgcd(s, t)
-        assert cert.g == math.gcd(s, t)
-        assert cert.a * s + cert.b * t == cert.g
-
-
-class TestBinomial:
-    def test_frozen(self):
-        assert binomial(7, 3) == 35
-        assert binomial(5, 0) == 1
-        assert binomial(5, 5) == 1
-
-    def test_against_pascal(self):
-        tri = pascal_triangle(20)
-        for p in range(21):
-            for k in range(p + 1):
-                assert binomial(p, k) == tri[p][k]
-
-    def test_out_of_range(self):
-        with pytest.raises(ValueError):
-            binomial(5, 6)
-        with pytest.raises(ValueError):
-            binomial(5, -1)
-        with pytest.raises(ValueError):
-            binomial(-1, 0)
-
-
-class TestIpow:
-    def test_frozen(self):
-        assert ipow(3, 5) == 243
-        assert ipow(-2, 3) == -8
-
-    def test_zero_to_the_zero_is_one(self):
-        assert ipow(0, 0) == 1
-
-    def test_matches_repeated_multiplication(self):
-        for base in range(-6, 7):
-            acc = 1
-            for exp in range(8):
-                assert ipow(base, exp) == acc
-                acc *= base
-
-    def test_negative_exponent_rejected(self):
-        with pytest.raises(ValueError):
-            ipow(2, -1)
+        g, a, b = extgcd(s, t)
+        assert g == math.gcd(s, t)
+        assert a * s + b * t == g
 
 
 class TestExactDiv:
@@ -123,32 +55,6 @@ class TestExactDiv:
         if divisor == 0:
             return
         assert exact_div(quotient * divisor, divisor) == quotient
-
-
-class TestModInverse:
-    def test_frozen(self):
-        assert mod_inverse(3, 7) == 5
-        assert mod_inverse(1, 2) == 1
-
-    def test_negative_modulus_canonical_range(self):
-        inv = mod_inverse(3, -7)
-        assert 0 <= inv < 7
-        assert (inv * 3) % 7 == 1
-
-    def test_property_small(self):
-        for q in list(range(-9, 0)) + list(range(1, 10)):
-            for a in range(-20, 21):
-                if math.gcd(a, q) != 1:
-                    with pytest.raises(NotInvertible):
-                        mod_inverse(a, q)
-                else:
-                    inv = mod_inverse(a, q)
-                    assert 0 <= inv < abs(q)
-                    assert (inv * a) % abs(q) == 1 % abs(q)
-
-    def test_zero_modulus(self):
-        with pytest.raises(ZeroModulus):
-            mod_inverse(3, 0)
 
 
 class TestIsPrime:
