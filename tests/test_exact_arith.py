@@ -5,7 +5,8 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from zwform.errors import NotDivisible, ZeroDivisor
+from zwform.decomposition import split_u
+from zwform.errors import DegenerateE, NotDivisible, ZeroDivisor
 from zwform.exact_arith import exact_div, extgcd, is_prime
 
 
@@ -55,6 +56,40 @@ class TestExactDiv:
         if divisor == 0:
             return
         assert exact_div(quotient * divisor, divisor) == quotient
+
+
+class TestModInverse:
+    """The canonical inverse of e modulo |q|, computed inside split_u.
+
+    split_u(1, e, q) returns l = e**-1 mod |q| in [0, |q|).
+    """
+
+    def test_frozen(self):
+        assert split_u(1, 3, 7)[0] == 5
+        assert split_u(1, 1, 2)[0] == 1
+
+    def test_negative_modulus_canonical_range(self):
+        inv = split_u(1, 3, -7)[0]
+        assert 0 <= inv < 7
+        assert (inv * 3) % 7 == 1
+
+    def test_property_small(self):
+        for q in list(range(-9, 0)) + list(range(1, 10)):
+            for a in range(-20, 21):
+                if math.gcd(a, q) != 1:
+                    # a == 0 mod |q| is the degenerate split; any other
+                    # shared factor leaves a without an inverse.
+                    expected = DegenerateE if a % q == 0 else ValueError
+                    with pytest.raises(expected):
+                        split_u(1, a, q)
+                else:
+                    inv = split_u(1, a, q)[0]
+                    assert 0 <= inv < abs(q)
+                    assert (inv * a) % abs(q) == 1 % abs(q)
+
+    def test_zero_modulus(self):
+        with pytest.raises(ZeroDivisionError):
+            split_u(1, 3, 0)
 
 
 class TestIsPrime:
