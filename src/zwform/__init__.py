@@ -29,7 +29,6 @@ from .errors import (
     RegenerateMismatch,
     RoundTripMismatch,
     WrongExponent,
-    ZeroDivisor,
     ZeroZ,
     ZwformError,
 )
@@ -80,7 +79,6 @@ __all__ = [
     "Solution",
     "SplitMix64",
     "WrongExponent",
-    "ZeroDivisor",
     "ZeroZ",
     "ZwformError",
     "bezout_nonzero",

@@ -25,7 +25,7 @@ import re
 import sys
 
 from .decomposition import decompose
-from .errors import DegenerateE, NotCoprime, NotTheoremGrade, ZeroZ, ZwformError
+from .errors import DegenerateE, NotCoprime, NotTheoremGrade, ZeroZ
 from .exact_arith import is_prime
 from .oracle import (
     SCAN_COUNTERS, SearchBounds, SearchReport, identity_fuzz, roundtrip_check, scan,
@@ -38,14 +38,6 @@ EX_DOMAIN = 2
 EX_USAGE = 64
 EX_IOERR = 74
 
-# Every record lists its keys in this order, whatever subset it carries.
-_KEY_ORDER = (
-    "p", "x", "y", "z", "m", "w",
-    "e", "f", "g", "l", "q", "n", "r",
-    "a", "b", "c", "d", "h", "u",
-    "error", "counts",
-)
-
 # argparse's stock matcher rejects values like -1..-1 and -1,0,2,1,1,1,0 as
 # unknown options; anything starting with a minus and a digit is a value.
 _NEGATIVE_VALUE = re.compile(r"^-\d")
@@ -56,16 +48,19 @@ class UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = _NEGATIVE_VALUE
+
     def error(self, message):
         raise UsageError(message)
 
 
 def _record(kind: str, **fields) -> dict:
+    """kind, then the fields in the order given; every value, counts' too, as a string."""
     rec = {"kind": kind}
-    for key in _KEY_ORDER:
-        if key in fields:
-            value = fields[key]
-            rec[key] = value if key in ("error", "counts") else str(value)
+    for key, value in fields.items():
+        rec[key] = {k: str(v) for k, v in value.items()} if key == "counts" else str(value)
     return rec
 
 
@@ -98,10 +93,6 @@ def _trace_record(trace, tuple_rec: dict) -> dict:
     return rec
 
 
-def _str_counts(counts: dict) -> dict:
-    return {key: str(value) for key, value in counts.items()}
-
-
 def _emit(rec: dict, fmt: str, stream) -> None:
     if fmt == "json":
         stream.write(json.dumps(rec, separators=(",", ":")) + "\n")
@@ -126,13 +117,18 @@ def _fail(name: str, detail: str, fmt: str, code: int) -> int:
     return code
 
 
-def _require_prime(p: int) -> None:
+def _prime_arg(text: str) -> int:
+    try:
+        p = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
     try:
         prime = is_prime(p)
     except ValueError as exc:
-        raise UsageError(f"--p too large: {exc}")
+        raise argparse.ArgumentTypeError(f"too large: {exc}")
     if not prime:
-        raise UsageError(f"--p must be prime, got {p}")
+        raise argparse.ArgumentTypeError(f"must be prime, got {p}")
+    return p
 
 
 def _tuple_arg(text: str):
@@ -156,7 +152,6 @@ def _m_range_arg(text: str):
 
 
 def _cmd_generate(args) -> int:
-    _require_prime(args.p)
     fmt = args.format
     try:
         tup = ParameterTuple(args.p, *args.tuple)
@@ -172,7 +167,6 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_decompose(args) -> int:
-    _require_prime(args.p)
     fmt = args.format
     p, x, y, z, m = args.p, args.x, args.y, args.z, args.m
     lhs = x ** p - m * y ** p
@@ -191,9 +185,6 @@ def _cmd_decompose(args) -> int:
         tup, trace = decompose(sol)
     except (NotTheoremGrade, DegenerateE) as exc:
         return _fail(type(exc).__name__, str(exc), fmt, EX_DOMAIN)
-    except ZwformError as exc:
-        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EX_INTERNAL
     _emit(_solution_record(sol), fmt, sys.stdout)
     tuple_rec = _tuple_record(tup)
     _emit(tuple_rec, fmt, sys.stdout)
@@ -203,24 +194,21 @@ def _cmd_decompose(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    _require_prime(args.p)
     flags = theorem_grade_flags(Solution(args.p, args.x, args.y, args.z, args.m, args.w))
     flags["theorem_grade"] = all(flags.values())
-    counts = {name: "1" if ok else "0" for name, ok in flags.items()}
+    counts = {name: int(ok) for name, ok in flags.items()}
     _emit(_record("report", counts=counts), args.format, sys.stdout)
     return EX_OK if flags["identity"] else EX_DOMAIN
 
 
 def _search_bounds(args) -> SearchBounds:
-    _require_prime(args.p)
-    if args.bound < 1:
-        raise UsageError(f"--bound must be >= 1, got {args.bound}")
+    try:
+        bounds = SearchBounds(args.p, args.bound, *args.m)
+    except ValueError as exc:
+        raise UsageError(exc)
     if args.jobs < 1:
         raise UsageError(f"--jobs must be >= 1, got {args.jobs}")
-    m_lo, m_hi = args.m
-    if m_lo > m_hi:
-        raise UsageError(f"empty m range {m_lo}..{m_hi}")
-    return SearchBounds(args.p, args.bound, m_lo, m_hi)
+    return bounds
 
 
 def _cmd_search(args) -> int:
@@ -242,7 +230,7 @@ def _cmd_search(args) -> int:
             for i in range(0, len(sols), _WRITE_RECORDS):
                 stream.write("".join([line % (p, x, y, z, m, w)
                                       for x, y, z, w in sols[i:i + _WRITE_RECORDS]]))
-        counts = {name: str(getattr(stats, name)) for name in SCAN_COUNTERS}
+        counts = {name: getattr(stats, name) for name in SCAN_COUNTERS}
         _emit(_record("report", counts=counts), fmt, stream)
     finally:
         if stream is not sys.stdout:
@@ -256,8 +244,8 @@ def _cmd_roundtrip(args) -> int:
         raise UsageError(f"--fuzz-count must be >= 0, got {args.fuzz_count}")
     report = roundtrip_check(bounds, jobs=args.jobs)
     fuzz = identity_fuzz(args.p, args.bound, args.fuzz_count, args.seed)
-    counts = _str_counts(report.as_counts())
-    counts.update({f"fuzz_{key}": value for key, value in _str_counts(fuzz.as_counts()).items()})
+    counts = report.as_counts()
+    counts.update({f"fuzz_{key}": value for key, value in fuzz.as_counts().items()})
     _emit(_record("report", counts=counts), args.format, sys.stdout)
     if report.failures or fuzz.failures:
         for subject, kind, detail in (report.failures + fuzz.failures)[:20]:
@@ -271,62 +259,49 @@ def _build_parser() -> _Parser:
     fmt_parent = _Parser(add_help=False)
     fmt_parent.add_argument("--format", choices=("text", "json"), default="text",
                             help="record format (default: text)")
+    p_parent = _Parser(add_help=False)
+    p_parent.add_argument("--p", type=_prime_arg, required=True, help="prime exponent")
+    solution_parent = _Parser(add_help=False)
+    for name in ("x", "y", "z", "m"):
+        solution_parent.add_argument(f"--{name}", type=int, required=True)
+    box_parent = _Parser(add_help=False)
+    box_parent.add_argument("--bound", type=int, required=True, help="|x|, |y|, |z| <= bound")
+    box_parent.add_argument("--m", type=_m_range_arg, required=True, metavar="LO..HI")
+    box_parent.add_argument("--jobs", type=int, default=1, help="worker processes (default: 1)")
 
     parser = _Parser(prog="zwform",
                      description="Generate, decompose, and audit integral solutions "
                                  "of x**p - m*y**p == z*w.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    gen = sub.add_parser("generate", parents=[fmt_parent],
+    gen = sub.add_parser("generate", parents=[fmt_parent, p_parent],
                          help="evaluate the closed forms on one parameter tuple")
-    gen.add_argument("--p", type=int, required=True, help="prime exponent")
     gen.add_argument("--tuple", type=_tuple_arg, required=True, metavar="E,F,G,L,Q,N,R")
     gen.set_defaults(handler=_cmd_generate)
 
-    dec = sub.add_parser("decompose", parents=[fmt_parent],
+    dec = sub.add_parser("decompose", parents=[fmt_parent, p_parent, solution_parent],
                          help="recover a parameter tuple from one solution")
-    dec.add_argument("--p", type=int, required=True)
-    dec.add_argument("--x", type=int, required=True)
-    dec.add_argument("--y", type=int, required=True)
-    dec.add_argument("--z", type=int, required=True)
-    dec.add_argument("--m", type=int, required=True)
     dec.add_argument("--w", type=int, default=None,
                      help="optional; recomputed from the identity when omitted")
     dec.add_argument("--trace", action="store_true", help="also print the Bezout trace")
     dec.set_defaults(handler=_cmd_decompose)
 
-    ver = sub.add_parser("verify", parents=[fmt_parent],
+    ver = sub.add_parser("verify", parents=[fmt_parent, p_parent, solution_parent],
                          help="check one solution against the identity and constraints")
-    ver.add_argument("--p", type=int, required=True)
-    ver.add_argument("--x", type=int, required=True)
-    ver.add_argument("--y", type=int, required=True)
-    ver.add_argument("--z", type=int, required=True)
-    ver.add_argument("--m", type=int, required=True)
     ver.add_argument("--w", type=int, required=True)
     ver.set_defaults(handler=_cmd_verify)
 
-    sea = sub.add_parser("search", parents=[fmt_parent],
+    sea = sub.add_parser("search", parents=[fmt_parent, p_parent, box_parent],
                          help="enumerate all solutions in a box by brute force")
-    sea.add_argument("--p", type=int, required=True)
-    sea.add_argument("--bound", type=int, required=True, help="|x|, |y|, |z| <= bound")
-    sea.add_argument("--m", type=_m_range_arg, required=True, metavar="LO..HI")
-    sea.add_argument("--jobs", type=int, default=1, help="worker processes (default: 1)")
     sea.add_argument("--out", default=None, help="write records to this file instead of stdout")
     sea.set_defaults(handler=_cmd_search)
 
-    rou = sub.add_parser("roundtrip", parents=[fmt_parent],
+    rou = sub.add_parser("roundtrip", parents=[fmt_parent, p_parent, box_parent],
                          help="decompose every solution in a box and fuzz the identities")
-    rou.add_argument("--p", type=int, required=True)
-    rou.add_argument("--bound", type=int, required=True)
-    rou.add_argument("--m", type=_m_range_arg, required=True, metavar="LO..HI")
-    rou.add_argument("--jobs", type=int, default=1)
     rou.add_argument("--seed", type=int, default=0, help="fuzzing seed (default: 0)")
     rou.add_argument("--fuzz-count", type=int, default=1000,
                      help="random tuples to fuzz (default: 1000)")
     rou.set_defaults(handler=_cmd_roundtrip)
-
-    for any_parser in (parser, fmt_parent, gen, dec, ver, sea, rou):
-        any_parser._negative_number_matcher = _NEGATIVE_VALUE
     return parser
 
 

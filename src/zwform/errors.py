@@ -11,10 +11,6 @@ class ZwformError(Exception):
     """Base class for every error raised by this package."""
 
 
-class ZeroDivisor(ZwformError):
-    """Exact division was attempted with divisor 0."""
-
-
 class NotDivisible(ZwformError):
     """An exact division left a nonzero remainder.
 

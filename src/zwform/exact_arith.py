@@ -7,7 +7,7 @@ instead of approximating.
 
 from __future__ import annotations
 
-from .errors import NotDivisible, ZeroDivisor
+from .errors import NotDivisible
 
 
 def extgcd(s: int, t: int) -> tuple[int, int, int]:
@@ -32,9 +32,7 @@ def extgcd(s: int, t: int) -> tuple[int, int, int]:
 
 
 def exact_div(num: int, den: int) -> int:
-    """num / den when den divides num exactly; error otherwise."""
-    if den == 0:
-        raise ZeroDivisor(f"exact division of {num} by zero")
+    """num / den when den divides num exactly; NotDivisible, or ZeroDivisionError, otherwise."""
     quot, rem = divmod(num, den)
     if rem:
         raise NotDivisible(f"{den} does not divide {num}")

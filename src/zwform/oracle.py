@@ -112,8 +112,9 @@ class SearchReport:
 def _triples(bound: int, p: int) -> list:
     """Pairwise-coprime nonzero (x, y, z, x**p, y**p), lexicographic in (x, y, z).
 
-    Cached because consecutive m chunks reuse the same list. Treat as
-    read-only.
+    One scan call covers a whole m chunk, so the cache serves repeated
+    scans of one box within a process (the benchmark clears it between
+    commands). Treat as read-only.
     """
     vals = [v for v in range(-bound, bound + 1) if v != 0]
     out = []

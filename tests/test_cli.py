@@ -299,17 +299,29 @@ class TestSearch:
         assert report["counts"]["solutions_found"] == str(len(solutions))
 
     def test_usage_errors(self, capsys):
-        for argv in (
-            ["search", "--p", "2", "--bound", "0", "--m", "1..1"],
-            ["search", "--p", "2", "--bound", "5", "--m", "1..x"],
-            ["search", "--p", "2", "--bound", "5", "--m", "5"],
-            ["search", "--p", "2", "--bound", "5", "--m", "5..1"],
-            ["search", "--p", "9", "--bound", "5", "--m", "1..1"],
-            ["search", "--p", "2", "--bound", "5", "--m", "1..1", "--jobs", "0"],
+        huge_p = str(2**89 - 1)
+        for argv, err_part in (
+            (["search", "--p", "2", "--bound", "0", "--m", "1..1"], "bound must be >= 1"),
+            (["search", "--p", "2", "--bound", "5", "--m", "1..x"], "malformed m range"),
+            (["search", "--p", "2", "--bound", "5", "--m", "5"], "expected lo..hi"),
+            (["search", "--p", "2", "--bound", "5", "--m", "5..1"], "empty m range"),
+            (["search", "--p", "9", "--bound", "5", "--m", "1..1"], "must be prime"),
+            (["search", "--p", "2", "--bound", "5", "--m", "1..1", "--jobs", "0"],
+             "--jobs must be >= 1"),
+            (["roundtrip", "--p", "2", "--bound", "0", "--m", "1..1"], "bound must be >= 1"),
+            (["roundtrip", "--p", "2", "--bound", "5", "--m", "5..1"], "empty m range"),
+            (["roundtrip", "--p", "2", "--bound", "5", "--m", "1..1", "--jobs", "0"],
+             "--jobs must be >= 1"),
+            (["roundtrip", "--p", "9", "--bound", "5", "--m", "1..1"], "must be prime"),
+            (["generate", "--p", huge_p, "--tuple", "1,1,2,1,1,1,1"], "too large"),
+            (["decompose", "--p", huge_p, "--x", "1", "--y", "1", "--z", "1", "--m", "1"],
+             "too large"),
+            (["roundtrip", "--p", huge_p, "--bound", "5", "--m", "1..1"], "too large"),
         ):
             code, out, err = run_lines(capsys, argv)
             assert code == EX_USAGE, argv
             assert out == []
+            assert err_part in err, argv
 
     def test_out_file(self, capsys, tmp_path):
         target = tmp_path / "solutions.jsonl"
@@ -417,6 +429,38 @@ class TestRoundtrip:
              "--fuzz-count", "-3"],
         )
         assert code == EX_USAGE
+
+
+class TestJsonLayout:
+    """The raw JSON bytes of every record kind: key order, separators, strings."""
+
+    @pytest.mark.parametrize("argv, stdout", [
+        (["generate", "--p", "2", "--tuple", "1,1,2,1,1,1,1"],
+         '{"kind":"tuple","p":"2","e":"1","f":"1","g":"2","l":"1","q":"1","n":"1","r":"1"}\n'
+         '{"kind":"solution","p":"2","x":"-1","y":"2","z":"5","m":"-1","w":"1"}\n'),
+        (["decompose", "--p", "2", "--x", "-1", "--y", "2", "--z", "5", "--m", "-1", "--trace"],
+         '{"kind":"solution","p":"2","x":"-1","y":"2","z":"5","m":"-1","w":"1"}\n'
+         '{"kind":"tuple","p":"2","e":"1","f":"2","g":"5","l":"0","q":"-1","n":"-2","r":"-1"}\n'
+         '{"kind":"trace","e":"1","f":"2","g":"5","l":"0","q":"-1","n":"-2","r":"-1",'
+         '"a":"-1","b":"0","c":"-2","d":"-1","h":"1","u":"-2"}\n'),
+        (["generate", "--p", "2", "--tuple", "1,1,2,1,0,1,1"],
+         '{"kind":"error","error":"ValueError"}\n'),
+        (["verify", "--p", "2", "--x", "1", "--y", "2", "--z", "5", "--m", "-1", "--w", "1"],
+         '{"kind":"report","counts":{"identity":"1","nonzero":"1","pairwise_coprime":"1",'
+         '"theorem_grade":"1"}}\n'),
+        (["search", "--p", "2", "--bound", "1", "--m", "0..1"],
+         '{"kind":"report","counts":{"instances_checked":"8","solutions_found":"0",'
+         '"filtered_zero_m":"8","filtered_zero_w":"8"}}\n'),
+        (["roundtrip", "--p", "2", "--bound", "3", "--m", "-2..2", "--fuzz-count", "10"],
+         '{"kind":"report","counts":{"instances_checked":"416","solutions_found":"296",'
+         '"decompose_success":"216","degenerate_e":"80","failures":"0","filtered_zero_m":"104",'
+         '"filtered_zero_w":"24","fuzz_instances_checked":"10","fuzz_solutions_found":"9",'
+         '"fuzz_decompose_success":"9","fuzz_degenerate_e":"0","fuzz_failures":"0",'
+         '"fuzz_filtered_zero_m":"0","fuzz_filtered_zero_w":"0"}}\n'),
+    ], ids=["generate", "decompose_trace", "error", "verify", "search", "roundtrip"])
+    def test_stdout_bytes(self, capsys, argv, stdout):
+        run(argv + ["--format", "json"])
+        assert capsys.readouterr().out == stdout
 
 
 class TestBigIntegers:
