@@ -4,7 +4,7 @@ For any prime p, a seven-parameter family of closed forms produces
 solutions in integers, and every solution with x, y, z pairwise coprime
 and all of x, y, z, m, w nonzero arises that way: `decompose` recovers a
 parameter tuple from such a solution and `generate` maps it back. The
-`oracle` module supplies brute-force enumeration and batch verification,
+`oracle` module supplies box enumeration and batch verification,
 and `cli` wraps everything in a command line tool.
 """
 

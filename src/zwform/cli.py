@@ -43,8 +43,17 @@ EX_IOERR = 74
 _NEGATIVE_VALUE = re.compile(r"^-\d")
 
 
+# The most bits a p-th power may have. Larger powers are refused before any
+# is taken, with an `error TooLarge` record and exit code 2.
+MAX_POWER_BITS = 1 << 20
+
+
 class UsageError(Exception):
     """Malformed command line; mapped to exit code 64."""
+
+
+class TooLarge(Exception):
+    """Well-formed input whose p-th powers pass MAX_POWER_BITS; mapped to exit code 2."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -64,10 +73,13 @@ def _record(kind: str, **fields) -> dict:
     return rec
 
 
-# The bytes _emit writes for a solution record, as one %-template per format.
+# The bytes _emit writes for a solution record, per format, in four parts:
+# templates of the head up to x (p), of the row's part up to m (x, y, z) and
+# of m's fragment up to w, then the tail after w.
 _SOLUTION_LINE = {
-    "json": '{"kind":"solution","p":"%d","x":"%d","y":"%d","z":"%d","m":"%d","w":"%d"}\n',
-    "text": "solution p=%d x=%d y=%d z=%d m=%d w=%d\n",
+    "json": ('{"kind":"solution","p":"%d","x":"', '%d","y":"%d","z":"%d","m":"', '%d","w":"',
+             '"}\n'),
+    "text": ("solution p=%d x=", "%d y=%d z=%d m=", "%d w=", "\n"),
 }
 
 # search writes at most this many records per write call, so the text it holds
@@ -117,6 +129,19 @@ def _fail(name: str, detail: str, fmt: str, code: int) -> int:
     return code
 
 
+def _check_powers(p: int, *values: int) -> None:
+    """Raise TooLarge if some value's p-th power would pass MAX_POWER_BITS.
+
+    The test takes p * (bit_length - 1), a lower bound on the bits of v**p,
+    so |v| <= 1 always passes, whatever p is.
+    """
+    width = max(abs(v) for v in values).bit_length()
+    bits = p * (width - 1)
+    if bits > MAX_POWER_BITS:
+        raise TooLarge(f"the p-th power of a {width}-bit input has at least {bits} bits, "
+                       f"more than MAX_POWER_BITS = {MAX_POWER_BITS}")
+
+
 def _prime_arg(text: str) -> int:
     try:
         p = int(text)
@@ -157,6 +182,9 @@ def _cmd_generate(args) -> int:
         tup = ParameterTuple(args.p, *args.tuple)
     except ValueError as exc:
         return _fail("ValueError", str(exc), fmt, EX_DOMAIN)
+    # generate raises u = e*l + f*q, f*q, q and f to p, l to p - 1 and e to
+    # p - 2; all six are checked as p-th powers.
+    _check_powers(tup.p, tup.e, tup.f, tup.l, tup.q, tup.f * tup.q, tup.e * tup.l + tup.f * tup.q)
     _emit(_tuple_record(tup), fmt, sys.stdout)
     try:
         sol = generate(tup)
@@ -169,6 +197,7 @@ def _cmd_generate(args) -> int:
 def _cmd_decompose(args) -> int:
     fmt = args.format
     p, x, y, z, m = args.p, args.x, args.y, args.z, args.m
+    _check_powers(p, x, y)
     lhs = x ** p - m * y ** p
     if args.w is None:
         if z == 0:
@@ -194,6 +223,7 @@ def _cmd_decompose(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    _check_powers(args.p, args.x, args.y)
     flags = theorem_grade_flags(Solution(args.p, args.x, args.y, args.z, args.m, args.w))
     flags["theorem_grade"] = all(flags.values())
     counts = {name: int(ok) for name, ok in flags.items()}
@@ -213,7 +243,20 @@ def _search_bounds(args) -> SearchBounds:
 
 def _cmd_search(args) -> int:
     bounds = _search_bounds(args)
+    _check_powers(bounds.p, bounds.bound)
     fmt = args.format
+    head_line, row_line, m_line, tail = _SOLUTION_LINE[fmt]
+    head = head_line % bounds.p
+    stats = SearchReport()
+    rows, batches = scan(bounds, stats, jobs=args.jobs)
+    # A row's part is formatted when it is first written: most rows are
+    # solutions for several m, and some for none in the range.
+    parts = [None] * len(rows)
+
+    def part(i):
+        parts[i] = row_line % rows[i][:3]
+        return parts[i]
+
     if args.out is not None:
         try:
             stream = open(args.out, "w", encoding="utf-8")
@@ -222,14 +265,12 @@ def _cmd_search(args) -> int:
             return EX_IOERR
     else:
         stream = sys.stdout
-    line = _SOLUTION_LINE[fmt]
-    p = bounds.p
-    stats = SearchReport()
     try:
-        for m, sols in scan(bounds, stats, jobs=args.jobs):
-            for i in range(0, len(sols), _WRITE_RECORDS):
-                stream.write("".join([line % (p, x, y, z, m, w)
-                                      for x, y, z, w in sols[i:i + _WRITE_RECORDS]]))
+        for m, sols in batches:
+            mid = m_line % m
+            for j in range(0, len(sols), _WRITE_RECORDS):
+                stream.write("".join([f"{head}{parts[i] or part(i)}{mid}{w}{tail}"
+                                      for i, w in sols[j:j + _WRITE_RECORDS]]))
         counts = {name: getattr(stats, name) for name in SCAN_COUNTERS}
         _emit(_record("report", counts=counts), fmt, stream)
     finally:
@@ -242,6 +283,7 @@ def _cmd_roundtrip(args) -> int:
     bounds = _search_bounds(args)
     if args.fuzz_count < 0:
         raise UsageError(f"--fuzz-count must be >= 0, got {args.fuzz_count}")
+    _check_powers(bounds.p, bounds.bound)
     report = roundtrip_check(bounds, jobs=args.jobs)
     fuzz = identity_fuzz(args.p, args.bound, args.fuzz_count, args.seed)
     counts = report.as_counts()
@@ -322,6 +364,8 @@ def run(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EX_USAGE
+    except TooLarge as exc:
+        return _fail("TooLarge", str(exc), args.format, EX_DOMAIN)
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EX_IOERR

@@ -1,10 +1,13 @@
-"""Desk-scale ground truth: brute-force enumeration and batch verification.
+"""Desk-scale ground truth: box enumeration and batch verification.
 
-The enumeration here is deliberately naive (scan every pairwise-coprime
-triple against every m and test divisibility directly) so that it is
-obviously correct; it is the oracle the clever parts of the package are
-judged against. On top of it sit batch round-trip checking, seeded tuple
-sampling, and identity fuzzing, all producing mergeable reports.
+The enumeration covers every pairwise-coprime triple against every m, but
+divides only where the quotient is an integer: for such a triple z divides
+x**p - m*y**p exactly when m lies in one residue class modulo |z|, so each
+m visits only the triples of its classes. The deliberately naive scan (test
+every instance directly) is kept as the reference it is gated against,
+``naive_box_scan`` in tests/test_oracle.py. On top of the enumeration sit
+batch round-trip checking, seeded tuple sampling, and identity fuzzing, all
+producing mergeable reports.
 
 Determinism contract: enumeration output is sorted by (m, x, y, z); report
 counters are plain sums. Work may be partitioned over worker processes by
@@ -73,10 +76,12 @@ class Failure(enum.Enum):
 class SearchReport:
     """Counters of a scan, a round trip or an identity fuzz.
 
-    instances_checked counts (m, triple) divisibility tests on nonzero m.
-    Instances skipped for m == 0 and instances whose quotient w would be 0
-    are filtered out of the results but counted for transparency. Each
-    failures entry is (subject, Failure, detail), one per failed subject.
+    instances_checked counts the (m, triple) instances a scan covers on
+    nonzero m, whether or not it had to divide: every triple of the box,
+    once per nonzero m. Instances skipped for m == 0 and instances whose
+    quotient w would be 0 are filtered out of the results but counted for
+    transparency. Each failures entry is (subject, Failure, detail), one
+    per failed subject.
 
     Invariant: decompose_success + degenerate_e + len(failures) equals
     solutions_found. For identity fuzzing, "decompose_success" counts tuples
@@ -109,25 +114,39 @@ class SearchReport:
 
 
 @lru_cache(maxsize=4)
-def _triples(bound: int, p: int) -> list:
-    """Pairwise-coprime nonzero (x, y, z, x**p, y**p), lexicographic in (x, y, z).
+def _triples(bound: int, p: int) -> tuple[list, list]:
+    """The box's rows and their residue classes, as (rows, classes).
 
-    One scan call covers a whole m chunk, so the cache serves repeated
-    scans of one box within a process (the benchmark clears it between
-    commands). Treat as read-only.
+    rows lists the pairwise-coprime nonzero (x, y, z, x**p, y**p),
+    lexicographic in (x, y, z). For such a row z divides x**p - m*y**p
+    exactly when m == x**p * (y**p)**-1 mod |z|, so classes[k][r] lists,
+    ascending, the indices of the rows with |z| == k whose admissible m are
+    m == r mod k (classes[0] is empty). One scan call covers a whole m
+    chunk, so the cache serves repeated scans of one box within a process
+    (the benchmark clears it between commands). Treat as read-only.
     """
     vals = [v for v in range(-bound, bound + 1) if v != 0]
-    out = []
+    # inverse[y][k - 1] is (y**p)**-1 mod k, for k coprime to y.
+    inverse = {y: [pow(y, -p, k) if gcd(y, k) == 1 else 0 for k in range(1, bound + 1)]
+               for y in vals}
+    rows = []
+    classes = [[[] for _ in range(k)] for k in range(bound + 1)]
     for x in vals:
         xp = x ** p
         for y in vals:
             if gcd(x, y) != 1:
                 continue
-            yp = y ** p
-            for z in vals:
-                if gcd(x, z) == 1 and gcd(y, z) == 1:
-                    out.append((x, y, z, xp, yp))
-    return out
+            xy, yp, inv = x * y, y ** p, inverse[y]
+            # z runs over -bound..-1, then 1..bound; z and -z share a class.
+            admissible = [(k, classes[k][xp * inv[k - 1] % k])
+                          for k in range(1, bound + 1) if gcd(xy, k) == 1]
+            for k, members in reversed(admissible):
+                members.append(len(rows))
+                rows.append((x, y, -k, xp, yp))
+            for k, members in admissible:
+                members.append(len(rows))
+                rows.append((x, y, k, xp, yp))
+    return rows, classes
 
 
 def _split_range(lo: int, hi: int, parts: int) -> list[tuple[int, int]]:
@@ -145,34 +164,47 @@ def _split_range(lo: int, hi: int, parts: int) -> list[tuple[int, int]]:
 
 
 def scan(bounds: SearchBounds, stats, jobs: int = 1):
-    """Yield (m, [(x, y, z, w), ...]) for every nonzero m in range, ascending.
+    """Return (rows, batches): the box's rows and its solutions, m by m.
 
-    This is the package's one enumeration loop. Each batch lists the m's
-    solutions in (x, y, z) order. The SCAN_COUNTERS of stats (a
-    SearchReport) grow as the scan goes and are complete once the
-    generator is exhausted. With jobs == 1 each m is scanned only when the
-    consumer asks for its batch; otherwise the m range is split into chunks
-    that worker processes scan, and their batches are yielded in range
-    order once every chunk has returned.
+    This is the package's one enumeration loop. rows[i] is (x, y, z, x**p,
+    y**p) as in _triples. batches yields (m, [(i, w), ...]) for every
+    nonzero m in range, ascending; each batch lists the m's solutions in
+    (x, y, z) order as a row index and the quotient w. Only the rows whose
+    residue class admits m are divided, so the work per m follows its
+    solutions, not the box. The SCAN_COUNTERS of stats (a SearchReport)
+    grow as batches are drawn and are complete once it is exhausted. With
+    jobs == 1 each m is scanned only when the consumer asks for its batch;
+    otherwise the m range is split into chunks that worker processes scan,
+    and their batches are yielded in range order once every chunk has
+    returned.
     """
+    return _triples(bounds.bound, bounds.p)[0], _batches(bounds, stats, jobs)
+
+
+def _batches(bounds: SearchBounds, stats, jobs: int):
     if jobs > 1:
         for part, batches in _run_chunks(_scan_chunk, bounds, jobs):
             stats.absorb(part)
             yield from batches
         return
-    trip = _triples(bounds.bound, bounds.p)
+    rows, classes = _triples(bounds.bound, bounds.p)
+    by_modulus = list(enumerate(classes))[1:]
     for m in range(bounds.m_min, bounds.m_max + 1):
         if m == 0:
-            stats.filtered_zero_m += len(trip)
+            stats.filtered_zero_m += len(rows)
             continue
-        stats.instances_checked += len(trip)
+        stats.instances_checked += len(rows)
+        hits = []
+        for k, residues in by_modulus:
+            hits += residues[m % k]
+        # Each class is ascending, so this sort merges bound runs.
+        hits.sort()
         sols = []
-        for x, y, z, xp, yp in trip:
+        for i in hits:
+            _, _, z, xp, yp = rows[i]
             t = xp - m * yp
-            if t % z:
-                continue
             if t:
-                sols.append((x, y, z, t // z))
+                sols.append((i, t // z))
             else:
                 stats.filtered_zero_w += 1
         stats.solutions_found += len(sols)
@@ -182,7 +214,7 @@ def scan(bounds: SearchBounds, stats, jobs: int = 1):
 def _scan_chunk(bounds: SearchBounds) -> tuple[SearchReport, list]:
     """Worker: the stats and the batches of one m chunk."""
     stats = SearchReport()
-    return stats, list(scan(bounds, stats))
+    return stats, list(scan(bounds, stats)[1])
 
 
 def _roundtrip_chunk(bounds: SearchBounds) -> SearchReport:
@@ -190,8 +222,10 @@ def _roundtrip_chunk(bounds: SearchBounds) -> SearchReport:
     checks the constraints and the regenerate itself) and audit its trace."""
     p = bounds.p
     rep = SearchReport()
-    for m, sols in scan(bounds, rep):
-        for x, y, z, w in sols:
+    rows, batches = scan(bounds, rep)
+    for m, sols in batches:
+        for i, w in sols:
+            x, y, z, _, _ = rows[i]
             sol = Solution(p, x, y, z, m, w)
             try:
                 tup, trace = decompose(sol)
@@ -235,8 +269,10 @@ def stream_solutions(bounds: SearchBounds, sink, jobs: int = 1) -> SearchReport:
     """
     stats = SearchReport()
     p = bounds.p
-    for m, sols in scan(bounds, stats, jobs):
-        for x, y, z, w in sols:
+    rows, batches = scan(bounds, stats, jobs)
+    for m, sols in batches:
+        for i, w in sols:
+            x, y, z, _, _ = rows[i]
             sink(Solution(p, x, y, z, m, w))
     return stats
 
@@ -244,8 +280,8 @@ def stream_solutions(bounds: SearchBounds, sink, jobs: int = 1) -> SearchReport:
 def enumerate_solutions(bounds: SearchBounds, jobs: int = 1) -> list[Solution]:
     """All theorem-grade solutions in the box, sorted by (m, x, y, z).
 
-    Brute force: every pairwise-coprime nonzero triple is tested against
-    every nonzero m in range for z | x**p - m*y**p with nonzero quotient.
+    Every pairwise-coprime nonzero triple against every nonzero m in range
+    with z | x**p - m*y**p and a nonzero quotient, as scan finds them.
     """
     out: list[Solution] = []
     stream_solutions(bounds, out.append, jobs=jobs)

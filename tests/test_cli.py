@@ -1,6 +1,7 @@
 """Command line behavior: records, exit codes, parsing, and determinism."""
 
 import contextlib
+import hashlib
 import io
 import json
 import sys
@@ -9,8 +10,8 @@ import time
 import pytest
 
 from zwform.cli import (
-    EX_DOMAIN, EX_INTERNAL, EX_IOERR, EX_OK, EX_USAGE, _WRITE_RECORDS, _emit, _record,
-    _solution_record, run,
+    EX_DOMAIN, EX_INTERNAL, EX_IOERR, EX_OK, EX_USAGE, MAX_POWER_BITS, _WRITE_RECORDS,
+    TooLarge, _check_powers, _emit, _record, _solution_record, run,
 )
 from zwform.decomposition import decompose
 from zwform.errors import NotTheoremGrade
@@ -266,6 +267,46 @@ class TestHugeP:
         assert out == []
         assert "must be prime" in err
 
+    @pytest.mark.parametrize("argv", [
+        ["generate", "--tuple", "1,2,1,1,1,1,1"],
+        ["generate", "--tuple", "2,0,1,0,1,1,1"],
+        ["decompose", "--x", "2", "--y", "1", "--z", "1", "--m", "1"],
+        ["decompose", "--x", "1", "--y", "-2", "--z", "1", "--m", "1", "--trace"],
+        ["verify", "--x", "1", "--y", "2", "--z", "1", "--m", "1", "--w", "0"],
+        ["search", "--bound", "2", "--m", "1..1"],
+        ["search", "--bound", "2", "--m", "-1..1", "--jobs", "2"],
+        ["roundtrip", "--bound", "2", "--m", "1..1", "--fuzz-count", "0"],
+    ], ids=["generate", "generate_e_only", "decompose", "decompose_y", "verify", "search",
+            "search_jobs", "roundtrip"])
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_huge_power_is_refused_first(self, capsys, argv, fmt):
+        # Every subcommand refuses a p-th power it cannot hold before taking
+        # any, and writes no record but the error.
+        start = time.perf_counter()
+        code, out, err = run_lines(
+            capsys, argv[:1] + ["--p", "1000000000000000003", "--format", fmt] + argv[1:])
+        assert time.perf_counter() - start < 2
+        assert code == EX_DOMAIN
+        assert out == (["error TooLarge"] if fmt == "text"
+                       else ['{"kind":"error","error":"TooLarge"}'])
+        assert "MAX_POWER_BITS" in err
+
+    def test_search_out_is_not_created(self, capsys, tmp_path):
+        path = tmp_path / "never.txt"
+        code, out, _ = run_lines(capsys, ["search", "--p", "1000000000000000003", "--bound", "2",
+                                          "--m", "1..1", "--out", str(path)])
+        assert code == EX_DOMAIN
+        assert out == ["error TooLarge"]
+        assert not path.exists()
+
+    def test_power_bits_boundary(self):
+        # p * (bit_length - 1) may reach MAX_POWER_BITS but not pass it.
+        half = MAX_POWER_BITS // 2
+        _check_powers(2, 1 << half, -3)
+        with pytest.raises(TooLarge):
+            _check_powers(2, -3, -(1 << (half + 1)))
+        _check_powers(1000000000000000003, -1, 0, 1)
+
     def test_p_past_deterministic_range_is_usage_error(self, capsys):
         # 2**89 - 1 is prime, but beyond the range where the primality
         # check is exact, so it is refused rather than guessed at.
@@ -391,6 +432,24 @@ class TestSearch:
         assert code == EX_OK
         assert "".join(writes) == expected.getvalue()
         assert max(text.count("\n") for text in writes) == _WRITE_RECORDS
+
+    @pytest.mark.parametrize("fmt, digest", [
+        ("text", "da43788fb2b4b785132cfaeba812032d834096b5440b2adfc4562dd699ecb6db"),
+        ("json", "0df75c7433f6c5c929c8beef7899eb376b7b41c7ea125059dbcd6bc4f5b63d5a"),
+    ])
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_bench_scale_bytes(self, capsys, fmt, digest, jobs):
+        # The benchmark's search box at one seed: 100,868 records. The
+        # digests were taken from the instance-by-instance scan, which wrote
+        # every record from one %-template.
+        code = run(["search", "--p", "3", "--bound", "16", "--m", "-25..15",
+                    "--format", fmt, "--jobs", str(jobs)])
+        out = capsys.readouterr().out
+        assert code == EX_OK
+        assert out.endswith("report instances_checked=366080 solutions_found=100868 "
+                            "filtered_zero_m=9152 filtered_zero_w=192\n" if fmt == "text"
+                            else '"filtered_zero_w":"192"}}\n')
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_deterministic_stdout(self, capsys):
         argv = ["search", "--p", "2", "--bound", "4", "--m", "-3..3"]

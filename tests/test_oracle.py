@@ -43,6 +43,21 @@ def naive_box_scan(p, bound, m_min, m_max):
     return found
 
 
+def naive_counts(p, bound, m_min, m_max):
+    """The SCAN_COUNTERS of a box, counted instance by instance."""
+    vals = [v for v in range(-bound, bound + 1) if v]
+    triples = [(x, y, z) for x in vals for y in vals for z in vals
+               if math.gcd(x, y) == math.gcd(x, z) == math.gcd(y, z) == 1]
+    nonzero_m = [m for m in range(m_min, m_max + 1) if m]
+    return {
+        "instances_checked": len(nonzero_m) * len(triples),
+        "solutions_found": len(naive_box_scan(p, bound, m_min, m_max)),
+        "filtered_zero_m": (m_max - m_min + 1 - len(nonzero_m)) * len(triples),
+        "filtered_zero_w": sum(1 for m in nonzero_m for (x, y, z) in triples
+                               if x ** p == m * y ** p),
+    }
+
+
 class TestSearchBounds:
     def test_rejects_composite_p(self):
         with pytest.raises(ValueError):
@@ -90,23 +105,8 @@ class TestEnumerate:
     def test_counters(self):
         # The m range holds 0, and m == 1 has w == 0 instances (x == +-y).
         p, bound, m_min, m_max = 2, 3, -2, 2
-        triples = [
-            (x, y, z)
-            for x in range(-bound, bound + 1) for y in range(-bound, bound + 1)
-            for z in range(-bound, bound + 1)
-            if x and y and z
-            and math.gcd(x, y) == math.gcd(x, z) == math.gcd(y, z) == 1
-        ]
-        nonzero_m = [m for m in range(m_min, m_max + 1) if m]
-        expected = {
-            "instances_checked": len(nonzero_m) * len(triples),
-            "solutions_found": len(naive_box_scan(p, bound, m_min, m_max)),
-            "filtered_zero_m": len(triples),
-            "filtered_zero_w": sum(
-                1 for m in nonzero_m for (x, y, z) in triples if x ** p == m * y ** p
-            ),
-        }
-        assert expected["filtered_zero_w"] > 0
+        expected = naive_counts(p, bound, m_min, m_max)
+        assert expected["filtered_zero_m"] > 0 and expected["filtered_zero_w"] > 0
         assert tuple(expected) == SCAN_COUNTERS
         bounds = SearchBounds(p, bound, m_min, m_max)
         for jobs in (1, 3):
@@ -119,6 +119,50 @@ class TestEnumerate:
             assert len(out) == expected["solutions_found"]
             report = roundtrip_check(bounds, jobs=jobs)
             assert {key: report.as_counts()[key] for key in expected} == expected
+
+
+class TestResidueScan:
+    """The residue-class scan against the naive instance-by-instance scan."""
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    @pytest.mark.parametrize("bound", range(1, 9))
+    def test_classes_partition_the_rows(self, p, bound):
+        rows, classes = oracle._triples(bound, p)
+        vals = [v for v in range(-bound, bound + 1) if v]
+        assert [row[:3] for row in rows] == [
+            (x, y, z) for x in vals for y in vals for z in vals
+            if math.gcd(x, y) == math.gcd(x, z) == math.gcd(y, z) == 1]
+        assert [len(residues) for residues in classes] == list(range(bound + 1))
+        members = [i for residues in classes for members in residues for i in members]
+        assert sorted(members) == list(range(len(rows)))
+        for k, residues in enumerate(classes):
+            for r, members in enumerate(residues):
+                assert members == sorted(members)
+                for i in members:
+                    x, y, z, xp, yp = rows[i]
+                    assert abs(z) == k and xp == x ** p and yp == y ** p
+                    assert (xp - r * yp) % k == 0
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    @pytest.mark.parametrize("bound", range(1, 9))
+    @pytest.mark.parametrize("m_range", [(-9, -1), (-4, 5), (0, 0)],
+                             ids=["negative", "holds_0", "only_0"])
+    def test_matches_naive_scan(self, p, bound, m_range):
+        bounds = SearchBounds(p, bound, *m_range)
+        naive = naive_box_scan(p, bound, *m_range)
+        counts = naive_counts(p, bound, *m_range)
+        if m_range == (-4, 5):
+            assert counts["filtered_zero_w"] > 0  # m == 1, x == y == 1
+        nonzero_m = [m for m in range(m_range[0], m_range[1] + 1) if m]
+        for jobs in (1, 3):
+            stats = SearchReport()
+            rows, batches = oracle.scan(bounds, stats, jobs)
+            batches = list(batches)
+            assert [m for m, _ in batches] == nonzero_m
+            assert [Solution(p, *rows[i][:3], m, w)
+                    for m, sols in batches for i, w in sols] == naive
+            assert {key: getattr(stats, key) for key in SCAN_COUNTERS} == counts
+            assert enumerate_solutions(bounds, jobs=jobs) == naive
 
 
 class TestRoundtripCheck:
