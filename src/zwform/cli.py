@@ -28,7 +28,7 @@ from .decomposition import decompose
 from .errors import DegenerateE, NotCoprime, NotTheoremGrade, ZeroZ
 from .exact_arith import is_prime
 from .oracle import (
-    SCAN_COUNTERS, SearchBounds, SearchReport, identity_fuzz, roundtrip_check, scan,
+    SCAN_COUNTERS, SearchBounds, SearchReport, _run_chunks, identity_fuzz, roundtrip_check, scan,
 )
 from .parametrization import ParameterTuple, Solution, generate, theorem_grade_flags
 
@@ -241,14 +241,11 @@ def _search_bounds(args) -> SearchBounds:
     return bounds
 
 
-def _cmd_search(args) -> int:
-    bounds = _search_bounds(args)
-    _check_powers(bounds.p, bounds.bound)
-    fmt = args.format
+def _search_text(bounds: SearchBounds, fmt: str, stats: SearchReport):
+    """Yield the box's solution records as strings of at most _WRITE_RECORDS records."""
     head_line, row_line, m_line, tail = _SOLUTION_LINE[fmt]
     head = head_line % bounds.p
-    stats = SearchReport()
-    rows, batches = scan(bounds, stats, jobs=args.jobs)
+    rows, batches = scan(bounds, stats)
     # A row's part is formatted when it is first written: most rows are
     # solutions for several m, and some for none in the range.
     parts = [None] * len(rows)
@@ -257,6 +254,35 @@ def _cmd_search(args) -> int:
         parts[i] = row_line % rows[i][:3]
         return parts[i]
 
+    for m, sols in batches:
+        mid = m_line % m
+        for j in range(0, len(sols), _WRITE_RECORDS):
+            yield "".join([f"{head}{parts[i] or part(i)}{mid}{w}{tail}"
+                           for i, w in sols[j:j + _WRITE_RECORDS]])
+
+
+def _search_chunk(fmt: str, bounds: SearchBounds) -> tuple[SearchReport, list[str]]:
+    """Worker: one m chunk's stats and record strings. It lifts the int/str
+    digit limit itself: a spawned worker does not inherit run()'s lift."""
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
+    stats = SearchReport()
+    return stats, list(_search_text(bounds, fmt, stats))
+
+
+def _pooled_text(bounds: SearchBounds, fmt: str, stats: SearchReport, jobs: int):
+    for part, texts in _run_chunks(functools.partial(_search_chunk, fmt), bounds, jobs):
+        stats.absorb(part)
+        yield from texts
+
+
+def _cmd_search(args) -> int:
+    bounds = _search_bounds(args)
+    _check_powers(bounds.p, bounds.bound)
+    fmt = args.format
+    stats = SearchReport()
+    texts = (_search_text(bounds, fmt, stats) if args.jobs == 1
+             else _pooled_text(bounds, fmt, stats, args.jobs))
     if args.out is not None:
         try:
             stream = open(args.out, "w", encoding="utf-8")
@@ -266,11 +292,8 @@ def _cmd_search(args) -> int:
     else:
         stream = sys.stdout
     try:
-        for m, sols in batches:
-            mid = m_line % m
-            for j in range(0, len(sols), _WRITE_RECORDS):
-                stream.write("".join([f"{head}{parts[i] or part(i)}{mid}{w}{tail}"
-                                      for i, w in sols[j:j + _WRITE_RECORDS]]))
+        for text in texts:
+            stream.write(text)
         counts = {name: getattr(stats, name) for name in SCAN_COUNTERS}
         _emit(_record("report", counts=counts), fmt, stream)
     finally:

@@ -10,15 +10,15 @@ batch round-trip checking, seeded tuple sampling, and identity fuzzing, all
 producing mergeable reports.
 
 Determinism contract: enumeration output is sorted by (m, x, y, z); report
-counters are plain sums. Work may be partitioned over worker processes by
-splitting the m range into contiguous chunks, and because chunks are merged
-in range order the result is identical to a serial run, byte for byte once
-serialized.
+counters are plain sums. _run_chunks partitions a box over worker processes
+by contiguous m chunks and yields their results in range order, so a pooled
+run serializes to the same bytes as a serial one.
 """
 
 from __future__ import annotations
 
 import enum
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields, replace
 from functools import lru_cache
@@ -149,44 +149,22 @@ def _triples(bound: int, p: int) -> tuple[list, list]:
     return rows, classes
 
 
-def _split_range(lo: int, hi: int, parts: int) -> list[tuple[int, int]]:
-    """At most `parts` contiguous inclusive chunks covering [lo, hi] in order."""
-    total = hi - lo + 1
-    parts = max(1, min(parts, total))
-    base, extra = divmod(total, parts)
-    chunks = []
-    start = lo
-    for i in range(parts):
-        size = base + (1 if i < extra else 0)
-        chunks.append((start, start + size - 1))
-        start += size
-    return chunks
-
-
-def scan(bounds: SearchBounds, stats, jobs: int = 1):
+def scan(bounds: SearchBounds, stats):
     """Return (rows, batches): the box's rows and its solutions, m by m.
 
     This is the package's one enumeration loop. rows[i] is (x, y, z, x**p,
     y**p) as in _triples. batches yields (m, [(i, w), ...]) for every
-    nonzero m in range, ascending; each batch lists the m's solutions in
-    (x, y, z) order as a row index and the quotient w. Only the rows whose
-    residue class admits m are divided, so the work per m follows its
-    solutions, not the box. The SCAN_COUNTERS of stats (a SearchReport)
-    grow as batches are drawn and are complete once it is exhausted. With
-    jobs == 1 each m is scanned only when the consumer asks for its batch;
-    otherwise the m range is split into chunks that worker processes scan,
-    and their batches are yielded in range order once every chunk has
-    returned.
+    nonzero m in range, ascending, scanning each m only when the consumer
+    asks for its batch; each batch lists the m's solutions in (x, y, z)
+    order as a row index and the quotient w. Only the rows whose residue
+    class admits m are divided, so the work per m follows its solutions,
+    not the box. The SCAN_COUNTERS of stats (a SearchReport) grow as
+    batches are drawn and are complete once it is exhausted.
     """
-    return _triples(bounds.bound, bounds.p)[0], _batches(bounds, stats, jobs)
+    return _triples(bounds.bound, bounds.p)[0], _batches(bounds, stats)
 
 
-def _batches(bounds: SearchBounds, stats, jobs: int):
-    if jobs > 1:
-        for part, batches in _run_chunks(_scan_chunk, bounds, jobs):
-            stats.absorb(part)
-            yield from batches
-        return
+def _batches(bounds: SearchBounds, stats):
     rows, classes = _triples(bounds.bound, bounds.p)
     by_modulus = list(enumerate(classes))[1:]
     for m in range(bounds.m_min, bounds.m_max + 1):
@@ -209,12 +187,6 @@ def _batches(bounds: SearchBounds, stats, jobs: int):
                 stats.filtered_zero_w += 1
         stats.solutions_found += len(sols)
         yield m, sols
-
-
-def _scan_chunk(bounds: SearchBounds) -> tuple[SearchReport, list]:
-    """Worker: the stats and the batches of one m chunk."""
-    stats = SearchReport()
-    return stats, list(scan(bounds, stats)[1])
 
 
 def _roundtrip_chunk(bounds: SearchBounds) -> SearchReport:
@@ -249,27 +221,31 @@ def _roundtrip_chunk(bounds: SearchBounds) -> SearchReport:
     return rep
 
 
-def _run_chunks(worker, bounds: SearchBounds, jobs: int) -> list:
-    chunks = [
-        replace(bounds, m_min=lo, m_max=hi)
-        for lo, hi in _split_range(bounds.m_min, bounds.m_max, jobs)
-    ]
-    if len(chunks) == 1:
-        return [worker(chunks[0])]
-    with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
-        return list(pool.map(worker, chunks))
+def _run_chunks(worker, bounds: SearchBounds, jobs: int):
+    """Yield worker's result on each m chunk of bounds, in range order.
+
+    The m range is cut into at most min(jobs, cores) contiguous chunks, and
+    as many worker processes scan them; a single chunk runs in process.
+    """
+    ms = range(bounds.m_min, bounds.m_max + 1)
+    parts = min(jobs, os.cpu_count() or 1, len(ms))
+    if parts == 1:
+        yield worker(bounds)
+        return
+    cuts = [ms[len(ms) * i // parts:len(ms) * (i + 1) // parts] for i in range(parts)]
+    chunks = [replace(bounds, m_min=cut[0], m_max=cut[-1]) for cut in cuts]
+    with ProcessPoolExecutor(max_workers=parts) as pool:
+        yield from pool.map(worker, chunks)
 
 
-def stream_solutions(bounds: SearchBounds, sink, jobs: int = 1) -> SearchReport:
+def stream_solutions(bounds: SearchBounds, sink) -> SearchReport:
     """Feed every enumerated Solution to sink in (m, x, y, z) order.
 
-    The order, and therefore anything serialized from it, is independent of
-    jobs: chunks cover disjoint ascending m ranges and are drained in range
-    order. Only the SCAN_COUNTERS of the returned report are filled.
+    Only the SCAN_COUNTERS of the returned report are filled.
     """
     stats = SearchReport()
     p = bounds.p
-    rows, batches = scan(bounds, stats, jobs)
+    rows, batches = scan(bounds, stats)
     for m, sols in batches:
         for i, w in sols:
             x, y, z, _, _ = rows[i]
@@ -277,14 +253,14 @@ def stream_solutions(bounds: SearchBounds, sink, jobs: int = 1) -> SearchReport:
     return stats
 
 
-def enumerate_solutions(bounds: SearchBounds, jobs: int = 1) -> list[Solution]:
+def enumerate_solutions(bounds: SearchBounds) -> list[Solution]:
     """All theorem-grade solutions in the box, sorted by (m, x, y, z).
 
     Every pairwise-coprime nonzero triple against every nonzero m in range
     with z | x**p - m*y**p and a nonzero quotient, as scan finds them.
     """
     out: list[Solution] = []
-    stream_solutions(bounds, out.append, jobs=jobs)
+    stream_solutions(bounds, out.append)
     return out
 
 

@@ -4,11 +4,14 @@ import contextlib
 import hashlib
 import io
 import json
+import os
+import subprocess
 import sys
 import time
 
 import pytest
 
+import zwform
 from zwform.cli import (
     EX_DOMAIN, EX_INTERNAL, EX_IOERR, EX_OK, EX_USAGE, MAX_POWER_BITS, _WRITE_RECORDS,
     TooLarge, _check_powers, _emit, _record, _solution_record, run,
@@ -415,7 +418,8 @@ class TestSearch:
 
     def test_writes_are_bounded(self):
         # m = -1 has more than _WRITE_RECORDS solutions in this box, so its
-        # records take several writes, and the stream stays the same.
+        # records take several writes, and the stream stays the same. A
+        # pooled search writes each worker's strings as they are.
         bounds = SearchBounds(2, 8, -2, 0)
         expected = io.StringIO()
         for sol in enumerate_solutions(bounds):
@@ -424,14 +428,15 @@ class TestSearch:
         _emit(search_report(stats), "text", expected)
         assert expected.getvalue().count(" m=-1 ") > _WRITE_RECORDS
 
-        writes = []
-        recorder = type("Recorder", (), {"write": staticmethod(writes.append),
-                                         "flush": staticmethod(lambda: None)})()
-        with contextlib.redirect_stdout(recorder):
-            code = run(["search", "--p", "2", "--bound", "8", "--m", "-2..0"])
-        assert code == EX_OK
-        assert "".join(writes) == expected.getvalue()
-        assert max(text.count("\n") for text in writes) == _WRITE_RECORDS
+        for jobs in ("1", "2"):
+            writes = []
+            recorder = type("Recorder", (), {"write": staticmethod(writes.append),
+                                             "flush": staticmethod(lambda: None)})()
+            with contextlib.redirect_stdout(recorder):
+                code = run(["search", "--p", "2", "--bound", "8", "--m", "-2..0", "--jobs", jobs])
+            assert code == EX_OK
+            assert "".join(writes) == expected.getvalue()
+            assert max(text.count("\n") for text in writes) == _WRITE_RECORDS
 
     @pytest.mark.parametrize("fmt, digest", [
         ("text", "da43788fb2b4b785132cfaeba812032d834096b5440b2adfc4562dd699ecb6db"),
@@ -561,6 +566,24 @@ class TestBigIntegers:
         assert out == ["report identity=1 nonzero=1 pairwise_coprime=1 theorem_grade=1"]
         if limit is not None:
             assert sys.get_int_max_str_digits() == limit
+
+    @pytest.mark.parametrize("method", ["fork", "spawn"])
+    def test_pooled_search_large_output(self, method):
+        # The workers render the records, so each lifts the digit limit
+        # itself; a spawned worker starts with the interpreter's default.
+        script = ("import multiprocessing, sys\n"
+                  "from zwform import cli\n"
+                  "multiprocessing.set_start_method(sys.argv[1])\n"
+                  "sys.exit(cli.run(sys.argv[2:]))\n")
+        env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(zwform.__file__))}
+        argv = ["search", "--p", "14303", "--bound", "2", "--m", "1..2"]
+        serial, pooled = (
+            subprocess.run([sys.executable, "-c", script, method, *argv, "--jobs", jobs],
+                           capture_output=True, text=True, env=env, timeout=120)
+            for jobs in ("1", "2"))
+        assert serial.returncode == pooled.returncode == EX_OK, pooled.stderr
+        assert max(len(field) for field in serial.stdout.split()) > 4300
+        assert pooled.stdout == serial.stdout
 
 
 class TestParsing:

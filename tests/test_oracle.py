@@ -1,12 +1,16 @@
 """Brute-force enumeration, round-trip batches, and the seeded fuzzer."""
 
 import dataclasses
+import io
 import math
+import os
 
 import pytest
 
 from test_acceptance import A3_FAILURES, A4_FAILURES, A5_FAILURES, select_failures
+from test_cli import search_report
 from zwform import decomposition, oracle
+from zwform.cli import _emit, _solution_record, run
 from zwform.errors import NotDivisible, ZeroZ
 from zwform.oracle import (
     SCAN_COUNTERS,
@@ -91,14 +95,21 @@ class TestEnumerate:
             assert abs(sol.x) <= 6 and abs(sol.y) <= 6 and abs(sol.z) <= 6
             assert -4 <= sol.m <= 4
 
-    def test_parallel_equals_serial(self):
+    def test_parallel_equals_serial(self, capsys):
+        # The pooled search, rendered in worker processes, against the
+        # serial enumeration written record by record.
         bounds = SearchBounds(2, 5, -4, 4)
-        assert enumerate_solutions(bounds, jobs=3) == enumerate_solutions(bounds)
+        expected = io.StringIO()
+        for sol in enumerate_solutions(bounds):
+            _emit(_solution_record(sol), "text", expected)
+        _emit(search_report(stream_solutions(bounds, lambda sol: None)), "text", expected)
+        assert run(["search", "--p", "2", "--bound", "5", "--m", "-4..4", "--jobs", "3"]) == 0
+        assert capsys.readouterr().out == expected.getvalue()
 
     def test_stream_order_matches_list(self):
         bounds = SearchBounds(3, 4, -2, 2)
         seen = []
-        stats = stream_solutions(bounds, seen.append, jobs=2)
+        stats = stream_solutions(bounds, seen.append)
         assert seen == enumerate_solutions(bounds)
         assert stats.solutions_found == len(seen)
 
@@ -109,14 +120,14 @@ class TestEnumerate:
         assert expected["filtered_zero_m"] > 0 and expected["filtered_zero_w"] > 0
         assert tuple(expected) == SCAN_COUNTERS
         bounds = SearchBounds(p, bound, m_min, m_max)
+        out = []
+        stats = SearchReport()
+        stats.absorb(stream_solutions(bounds, out.append))
+        assert stats.as_counts() == {
+            **expected, "decompose_success": 0, "degenerate_e": 0, "failures": 0,
+        }
+        assert len(out) == expected["solutions_found"]
         for jobs in (1, 3):
-            out = []
-            stats = SearchReport()
-            stats.absorb(stream_solutions(bounds, out.append, jobs=jobs))
-            assert stats.as_counts() == {
-                **expected, "decompose_success": 0, "degenerate_e": 0, "failures": 0,
-            }
-            assert len(out) == expected["solutions_found"]
             report = roundtrip_check(bounds, jobs=jobs)
             assert {key: report.as_counts()[key] for key in expected} == expected
 
@@ -154,15 +165,14 @@ class TestResidueScan:
         if m_range == (-4, 5):
             assert counts["filtered_zero_w"] > 0  # m == 1, x == y == 1
         nonzero_m = [m for m in range(m_range[0], m_range[1] + 1) if m]
-        for jobs in (1, 3):
-            stats = SearchReport()
-            rows, batches = oracle.scan(bounds, stats, jobs)
-            batches = list(batches)
-            assert [m for m, _ in batches] == nonzero_m
-            assert [Solution(p, *rows[i][:3], m, w)
-                    for m, sols in batches for i, w in sols] == naive
-            assert {key: getattr(stats, key) for key in SCAN_COUNTERS} == counts
-            assert enumerate_solutions(bounds, jobs=jobs) == naive
+        stats = SearchReport()
+        rows, batches = oracle.scan(bounds, stats)
+        batches = list(batches)
+        assert [m for m, _ in batches] == nonzero_m
+        assert [Solution(p, *rows[i][:3], m, w)
+                for m, sols in batches for i, w in sols] == naive
+        assert {key: getattr(stats, key) for key in SCAN_COUNTERS} == counts
+        assert enumerate_solutions(bounds) == naive
 
 
 class TestRoundtripCheck:
@@ -179,6 +189,41 @@ class TestRoundtripCheck:
         parallel = roundtrip_check(bounds, jobs=3)
         assert serial.as_counts() == parallel.as_counts()
         assert serial.failures == parallel.failures
+
+    def test_jobs_capped_at_cores(self, monkeypatch):
+        # A fake pool records what it is given and maps in process, so no
+        # worker process starts however large jobs is.
+        pools = []
+
+        class FakePool:
+            def __init__(self, max_workers):
+                self.max_workers = max_workers
+                pools.append(self)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, worker, chunks):
+                self.chunks = list(chunks)
+                return map(worker, self.chunks)
+
+        monkeypatch.setattr(oracle, "ProcessPoolExecutor", FakePool)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        bounds = SearchBounds(2, 2, -50, 50)
+        report = roundtrip_check(bounds, jobs=10**6)
+        (pool,) = pools
+        assert pool.max_workers == 3 and len(pool.chunks) == 3
+        assert all(chunk.m_min <= chunk.m_max for chunk in pool.chunks)
+        assert [m for chunk in pool.chunks for m in range(chunk.m_min, chunk.m_max + 1)] == \
+            list(range(-50, 51))
+        assert all(dataclasses.replace(chunk, m_min=-50, m_max=50) == bounds
+                   for chunk in pool.chunks)
+        serial = roundtrip_check(bounds)
+        assert report.as_counts() == serial.as_counts()
+        assert report.failures == serial.failures
 
     def test_report_consistency_helper(self):
         rep = SearchReport(solutions_found=3, decompose_success=2, degenerate_e=1)
