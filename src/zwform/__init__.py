@@ -28,6 +28,7 @@ from .errors import (
     NotTheoremGrade,
     RegenerateMismatch,
     RoundTripMismatch,
+    TooLarge,
     WrongExponent,
     ZeroZ,
     ZwformError,
@@ -78,6 +79,7 @@ __all__ = [
     "SearchReport",
     "Solution",
     "SplitMix64",
+    "TooLarge",
     "WrongExponent",
     "ZeroZ",
     "ZwformError",

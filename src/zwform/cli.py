@@ -25,8 +25,8 @@ import re
 import sys
 
 from .decomposition import decompose
-from .errors import DegenerateE, NotCoprime, NotTheoremGrade, ZeroZ
-from .exact_arith import is_prime
+from .errors import DegenerateE, NotCoprime, NotTheoremGrade, TooLarge, ZeroZ
+from .exact_arith import MAX_POWER_BITS, _check_powers, is_prime  # noqa: F401 (re-exported)
 from .oracle import (
     SCAN_COUNTERS, SearchBounds, SearchReport, _run_chunks, identity_fuzz, roundtrip_check, scan,
 )
@@ -43,17 +43,8 @@ EX_IOERR = 74
 _NEGATIVE_VALUE = re.compile(r"^-\d")
 
 
-# The most bits a p-th power may have. Larger powers are refused before any
-# is taken, with an `error TooLarge` record and exit code 2.
-MAX_POWER_BITS = 1 << 20
-
-
 class UsageError(Exception):
     """Malformed command line; mapped to exit code 64."""
-
-
-class TooLarge(Exception):
-    """Well-formed input whose p-th powers pass MAX_POWER_BITS; mapped to exit code 2."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -127,19 +118,6 @@ def _fail(name: str, detail: str, fmt: str, code: int) -> int:
     _emit(_record("error", error=name), fmt, sys.stdout)
     print(f"error: {detail}", file=sys.stderr)
     return code
-
-
-def _check_powers(p: int, *values: int) -> None:
-    """Raise TooLarge if some value's p-th power would pass MAX_POWER_BITS.
-
-    The test takes p * (bit_length - 1), a lower bound on the bits of v**p,
-    so |v| <= 1 always passes, whatever p is.
-    """
-    width = max(abs(v) for v in values).bit_length()
-    bits = p * (width - 1)
-    if bits > MAX_POWER_BITS:
-        raise TooLarge(f"the p-th power of a {width}-bit input has at least {bits} bits, "
-                       f"more than MAX_POWER_BITS = {MAX_POWER_BITS}")
 
 
 def _prime_arg(text: str) -> int:

@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from .exact_arith import exact_div, extgcd
+from .exact_arith import _check_powers, exact_div, extgcd
 from .errors import (
     ConstraintViolation, DegenerateE, NotCoprime, NotTheoremGrade, RegenerateMismatch,
 )
@@ -127,6 +127,8 @@ def decompose(sol: Solution) -> tuple[ParameterTuple, DecompositionTrace]:
     constraints gcd(e,q) == gcd(l,q) == gcd(n,r) == 1, and that
     generate(tuple) reproduces sol field by field. A violation raises
     ConstraintViolation or RegenerateMismatch and means a bug, not bad input.
+    TooLarge is raised, before g and n are computed, when the p-th power of
+    e or f would pass MAX_POWER_BITS.
     """
     flags = theorem_grade_flags(sol)
     if not flags["nonzero"]:
@@ -146,6 +148,8 @@ def decompose(sol: Solution) -> tuple[ParameterTuple, DecompositionTrace]:
             {"a": a, "b": b, "c": c, "d": d, "h": h, "u": u, "q": q, "r": r, "e": 0},
         )
     l, f = split_u(u, e, q)
+    # The residuals raise f to p and e to p - 2; refuse them before they do.
+    _check_powers(p, e, f)
     g = residual_g(f, sol.m, e, p)
     n = residual_n(sol.y, e, l, r, q, p)
     tup = ParameterTuple(p, e, f, g, l, q, n, r)

@@ -20,6 +20,13 @@ class NotDivisible(ZwformError):
     """
 
 
+class TooLarge(ZwformError):
+    """Well-formed input whose p-th powers would pass MAX_POWER_BITS.
+
+    A domain error: the value is refused before the power is taken.
+    """
+
+
 class ZeroZ(ZwformError):
     """The closed form for z evaluates to 0, so w is undefined."""
 

@@ -7,7 +7,11 @@ instead of approximating.
 
 from __future__ import annotations
 
-from .errors import NotDivisible
+from .errors import NotDivisible, TooLarge
+
+# The most bits a p-th power may have. Larger powers are refused before any
+# is taken, with TooLarge.
+MAX_POWER_BITS = 1 << 20
 
 
 def extgcd(s: int, t: int) -> tuple[int, int, int]:
@@ -37,6 +41,22 @@ def exact_div(num: int, den: int) -> int:
     if rem:
         raise NotDivisible(f"{den} does not divide {num}")
     return quot
+
+
+def _check_powers(p: int, *values: int) -> None:
+    """Raise TooLarge if some value's p-th power would pass MAX_POWER_BITS.
+
+    The test takes p * (bit_length - 1), a lower bound on the bits of v**p,
+    so |v| <= 1 always passes, whatever p is.
+    """
+    largest = 0
+    for v in values:
+        largest |= abs(v)  # as wide as the widest |v|
+    width = largest.bit_length()
+    bits = p * (width - 1)
+    if bits > MAX_POWER_BITS:
+        raise TooLarge(f"the p-th power of a {width}-bit input has at least {bits} bits, "
+                       f"more than MAX_POWER_BITS = {MAX_POWER_BITS}")
 
 
 # The first 13 primes: as Miller-Rabin bases they decide primality for every

@@ -12,21 +12,21 @@ producing mergeable reports.
 Determinism contract: enumeration output is sorted by (m, x, y, z); report
 counters are plain sums. _run_chunks partitions a box over worker processes
 by contiguous m chunks and yields their results in range order, so a pooled
-run serializes to the same bytes as a serial one.
+run serializes to the same bytes as a serial one. The process pool is
+imported on first use, so only a run with more than one chunk loads it.
 """
 
 from __future__ import annotations
 
 import enum
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields, replace
 from functools import lru_cache
 from math import gcd
 
 from .decomposition import decompose, trace_identities
 from .errors import (
-    ConstraintViolation, DegenerateE, NotDivisible, RegenerateMismatch, ZwformError,
+    ConstraintViolation, DegenerateE, NotDivisible, RegenerateMismatch, TooLarge, ZwformError,
 )
 from .exact_arith import is_prime
 from .parametrization import ParameterTuple, Solution, eval_w, eval_z, generate
@@ -191,7 +191,9 @@ def _batches(bounds: SearchBounds, stats):
 
 def _roundtrip_chunk(bounds: SearchBounds) -> SearchReport:
     """Worker: enumerate one m chunk, decompose every solution (decompose
-    checks the constraints and the regenerate itself) and audit its trace."""
+    checks the constraints and the regenerate itself) and audit its trace.
+    TooLarge is a refusal of the whole box, not one solution's failure, so
+    it propagates."""
     p = bounds.p
     rep = SearchReport()
     rows, batches = scan(bounds, rep)
@@ -210,6 +212,8 @@ def _roundtrip_chunk(bounds: SearchBounds) -> SearchReport:
             except RegenerateMismatch as exc:
                 rep.failures.append((sol, Failure.REGENERATE, str(exc)))
                 continue
+            except TooLarge:
+                raise
             except ZwformError as exc:
                 rep.failures.append((sol, Failure.EXCEPTION, f"{type(exc).__name__}: {exc}"))
                 continue
@@ -225,7 +229,9 @@ def _run_chunks(worker, bounds: SearchBounds, jobs: int):
     """Yield worker's result on each m chunk of bounds, in range order.
 
     The m range is cut into at most min(jobs, cores) contiguous chunks, and
-    as many worker processes scan them; a single chunk runs in process.
+    as many worker processes scan them; a single chunk runs in process. The
+    pool is imported here, past that case, so that a process which never
+    starts one never loads multiprocessing.
     """
     ms = range(bounds.m_min, bounds.m_max + 1)
     parts = min(jobs, os.cpu_count() or 1, len(ms))
@@ -234,6 +240,7 @@ def _run_chunks(worker, bounds: SearchBounds, jobs: int):
         return
     cuts = [ms[len(ms) * i // parts:len(ms) * (i + 1) // parts] for i in range(parts)]
     chunks = [replace(bounds, m_min=cut[0], m_max=cut[-1]) for cut in cuts]
+    from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=parts) as pool:
         yield from pool.map(worker, chunks)
 
@@ -280,24 +287,31 @@ def roundtrip_check(bounds: SearchBounds, jobs: int = 1) -> SearchReport:
 
 
 _MASK64 = (1 << 64) - 1
+_GAMMA = 0x9E3779B97F4A7C15
+
+
+def _mix64(z: int) -> int:
+    """splitmix64's output function of one 64-bit state."""
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+    return z ^ (z >> 31)
 
 
 class SplitMix64:
     """The splitmix64 generator: 64-bit state, identical on every platform.
 
     This is the single source of randomness in the package; seeded runs are
-    reproducible across machines and Python versions by construction.
+    reproducible across machines and Python versions by construction. The
+    k-th word from seed s is _mix64(s + k*_GAMMA mod 2**64), a function of
+    k alone, so a caller may compute the words it needs out of order.
     """
 
     def __init__(self, seed: int):
         self._state = seed & _MASK64
 
     def next_u64(self) -> int:
-        self._state = (self._state + 0x9E3779B97F4A7C15) & _MASK64
-        z = self._state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-        return z ^ (z >> 31)
+        self._state = (self._state + _GAMMA) & _MASK64
+        return _mix64(self._state)
 
     def randint(self, lo: int, hi: int) -> int:
         """Draw from [lo, hi] by reducing one 64-bit word modulo the span.
@@ -311,27 +325,33 @@ class SplitMix64:
 def sample_tuples(p: int, limit: int, count: int, seed: int) -> list[ParameterTuple]:
     """Exactly count tuples with components in [-limit, limit].
 
-    Rejection sampling: all seven components are drawn in the fixed order
-    e, f, g, l, q, n, r and the whole draw is discarded unless q != 0 and
-    gcd(e,q) == gcd(l,q) == gcd(n,r) == 1. Deterministic for a fixed seed.
+    Rejection sampling: each draw takes the next seven words of
+    SplitMix64(seed), reduced as randint(-limit, limit) reduces them, as
+    e, f, g, l, q, n, r, and is discarded unless q != 0 and gcd(e,q) ==
+    gcd(l,q) == gcd(n,r) == 1. A word depends only on its index, so q is
+    computed first, the others only while the draw can still pass, and f
+    and g only for draws that do. Deterministic for a fixed seed.
     """
     if limit < 1:
         raise ValueError(f"limit must be >= 1, got {limit}")
     if count < 0:
         raise ValueError(f"count must be >= 0, got {count}")
-    rng = SplitMix64(seed)
+    span = 2 * limit + 1
+    state = seed & _MASK64
+
+    def word(k):
+        """The k-th word past state, reduced to [-limit, limit]."""
+        return _mix64((state + k * _GAMMA) & _MASK64) % span - limit
+
     out = []
     while len(out) < count:
-        e = rng.randint(-limit, limit)
-        f = rng.randint(-limit, limit)
-        g = rng.randint(-limit, limit)
-        l = rng.randint(-limit, limit)
-        q = rng.randint(-limit, limit)
-        n = rng.randint(-limit, limit)
-        r = rng.randint(-limit, limit)
-        if q == 0 or gcd(e, q) != 1 or gcd(l, q) != 1 or gcd(n, r) != 1:
-            continue
-        out.append(ParameterTuple(p, e, f, g, l, q, n, r))
+        # This draw's words are the 1st to 7th past state: e f g l q n r.
+        q = word(5)
+        if q and gcd(e := word(1), q) == 1 and gcd(l := word(4), q) == 1:
+            n, r = word(6), word(7)
+            if gcd(n, r) == 1:
+                out.append(ParameterTuple(p, e, word(2), word(3), l, q, n, r))
+        state = (state + 7 * _GAMMA) & _MASK64
     return out
 
 

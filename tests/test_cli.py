@@ -5,6 +5,7 @@ import hashlib
 import io
 import json
 import os
+import resource
 import subprocess
 import sys
 import time
@@ -30,6 +31,24 @@ def run_lines(capsys, argv):
 
 def json_records(lines):
     return [json.loads(line) for line in lines]
+
+
+def run_child(args, timeout):
+    """Run a fresh interpreter on args with this checkout's zwform importable.
+
+    The child and every process it starts are capped at 2 GiB of address
+    space and at timeout seconds of CPU each, so that a power the package
+    ought to refuse ends in MemoryError rather than in the host's memory,
+    and a pool worker left behind by a timed-out child does not run on.
+    """
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(zwform.__file__))}
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+        resource.setrlimit(resource.RLIMIT_CPU, (timeout, timeout))
+
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env,
+                          timeout=timeout, preexec_fn=limit)
 
 
 def search_report(stats):
@@ -301,6 +320,40 @@ class TestHugeP:
         assert code == EX_DOMAIN
         assert out == ["error TooLarge"]
         assert not path.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["decompose", "--p", "1000000000000000003", "--x", "1", "--y", "1", "--z", "1",
+         "--m", "3"],
+        ["roundtrip", "--p", "1000000000000000003", "--bound", "1", "--m", "3..3",
+         "--fuzz-count", "0"],
+        ["roundtrip", "--p", "1000000000000000003", "--bound", "1", "--m", "3..4",
+         "--fuzz-count", "0", "--jobs", "2"],
+        ["decompose", "--p", "1009", "--x", "2", "--y", "1", "--z", str(2**1009 - 1),
+         "--m", "1"],
+    ], ids=["decompose", "roundtrip", "roundtrip_jobs", "decompose_large_z"])
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_huge_residual_is_refused(self, argv, fmt):
+        # The inputs' own powers pass the check, but decompose's residuals e
+        # and f do not: the pipeline raises e to p - 2 and f to p.
+        done = run_child(["-m", "zwform", *argv, "--format", fmt], timeout=5)
+        assert done.returncode == EX_DOMAIN, done.stderr
+        assert done.stdout == ("error TooLarge\n" if fmt == "text"
+                               else '{"kind":"error","error":"TooLarge"}\n')
+        assert "MAX_POWER_BITS" in done.stderr
+
+    @pytest.mark.parametrize("fmt, out", [
+        ("text", ["solution p=1000000000000000003 x=1 y=1 z=1 m=2 w=-1",
+                  "tuple p=1000000000000000003 e=-1 f=1 g=1 l=0 q=1 n=1 r=0"]),
+        ("json", ['{"kind":"solution","p":"1000000000000000003","x":"1","y":"1","z":"1",'
+                  '"m":"2","w":"-1"}',
+                  '{"kind":"tuple","p":"1000000000000000003","e":"-1","f":"1","g":"1",'
+                  '"l":"0","q":"1","n":"1","r":"0"}']),
+    ])
+    def test_unit_residual_passes(self, capsys, fmt, out):
+        # At m == 2 the residual e is -1, whose powers are +-1 for any p.
+        assert run_lines(capsys, ["decompose", "--p", "1000000000000000003", "--x", "1",
+                                  "--y", "1", "--z", "1", "--m", "2", "--format", fmt]) == (
+            EX_OK, out, "")
 
     def test_power_bits_boundary(self):
         # p * (bit_length - 1) may reach MAX_POWER_BITS but not pass it.
@@ -575,15 +628,38 @@ class TestBigIntegers:
                   "from zwform import cli\n"
                   "multiprocessing.set_start_method(sys.argv[1])\n"
                   "sys.exit(cli.run(sys.argv[2:]))\n")
-        env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(zwform.__file__))}
         argv = ["search", "--p", "14303", "--bound", "2", "--m", "1..2"]
-        serial, pooled = (
-            subprocess.run([sys.executable, "-c", script, method, *argv, "--jobs", jobs],
-                           capture_output=True, text=True, env=env, timeout=120)
-            for jobs in ("1", "2"))
+        serial, pooled = (run_child(["-c", script, method, *argv, "--jobs", jobs], timeout=120)
+                          for jobs in ("1", "2"))
         assert serial.returncode == pooled.returncode == EX_OK, pooled.stderr
         assert max(len(field) for field in serial.stdout.split()) > 4300
         assert pooled.stdout == serial.stdout
+
+
+class TestColdStart:
+    def test_pool_is_not_imported(self):
+        # The child checks its own modules and prints what it finds: this
+        # process may have imported the pool modules itself.
+        script = ("import runpy, sys\n"
+                  "POOL = ('multiprocessing', 'concurrent.futures.process')\n"
+                  "import zwform.cli\n"
+                  "print([name for name in POOL if name in sys.modules])\n"
+                  "sys.argv[0] = 'zwform'\n"
+                  "try:\n"
+                  "    runpy.run_module('zwform', run_name='__main__')\n"
+                  "except SystemExit as exc:\n"
+                  "    print(exc.code)\n"
+                  "print([name for name in POOL if name in sys.modules])\n")
+        done = run_child(["-c", script, "generate", "--p", "3", "--tuple", "2,1,1,1,1,1,1"],
+                         timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines() == [
+            "[]",
+            "tuple p=3 e=2 f=1 g=1 l=1 q=1 n=1 r=1",
+            "solution p=3 x=-5 y=3 z=14 m=-1 w=-7",
+            str(EX_OK),
+            "[]",
+        ]
 
 
 class TestParsing:

@@ -1,5 +1,6 @@
 """Brute-force enumeration, round-trip batches, and the seeded fuzzer."""
 
+import concurrent.futures
 import dataclasses
 import io
 import math
@@ -24,7 +25,7 @@ from zwform.oracle import (
     sample_tuples,
     stream_solutions,
 )
-from zwform.parametrization import Solution, generate, is_theorem_grade
+from zwform.parametrization import ParameterTuple, Solution, generate, is_theorem_grade
 
 
 def naive_box_scan(p, bound, m_min, m_max):
@@ -210,7 +211,8 @@ class TestRoundtripCheck:
                 self.chunks = list(chunks)
                 return map(worker, self.chunks)
 
-        monkeypatch.setattr(oracle, "ProcessPoolExecutor", FakePool)
+        # _run_chunks imports the pool when it starts one, so patch its source.
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
         monkeypatch.setattr(os, "cpu_count", lambda: 3)
         bounds = SearchBounds(2, 2, -50, 50)
         report = roundtrip_check(bounds, jobs=10**6)
@@ -304,6 +306,25 @@ class TestSampleTuples:
             assert t.satisfies_gcd_constraints()
             for v in (t.e, t.f, t.g, t.l, t.q, t.n, t.r):
                 assert -6 <= v <= 6
+
+    @staticmethod
+    def drawn_in_order(p, limit, count, seed):
+        """The sampler as specified: seven randint words per draw, in order."""
+        rng = SplitMix64(seed)
+        out = []
+        while len(out) < count:
+            e, f, g, l, q, n, r = (rng.randint(-limit, limit) for _ in range(7))
+            if q and math.gcd(e, q) == math.gcd(l, q) == math.gcd(n, r) == 1:
+                out.append(ParameterTuple(p, e, f, g, l, q, n, r))
+        return out
+
+    @pytest.mark.parametrize("seed", [0, 1, 7, 2**64 - 1, 12345678901234567890])
+    def test_matches_in_order_draws(self, seed):
+        # sample_tuples computes only the words a draw needs, out of order.
+        for p in (2, 3, 5):
+            for limit in (1, 2, 10, 30):
+                assert sample_tuples(p, limit, 300, seed) == \
+                    self.drawn_in_order(p, limit, 300, seed)
 
     def test_empty(self):
         assert sample_tuples(2, 5, 0, seed=0) == []
