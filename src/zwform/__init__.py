@@ -38,7 +38,6 @@ from .oracle import (
     Failure,
     SearchBounds,
     SearchReport,
-    SplitMix64,
     enumerate_solutions,
     identity_fuzz,
     roundtrip_check,
@@ -78,7 +77,6 @@ __all__ = [
     "SearchBounds",
     "SearchReport",
     "Solution",
-    "SplitMix64",
     "TooLarge",
     "WrongExponent",
     "ZeroZ",

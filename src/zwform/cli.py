@@ -26,7 +26,7 @@ import sys
 
 from .decomposition import decompose
 from .errors import DegenerateE, NotCoprime, NotTheoremGrade, TooLarge, ZeroZ
-from .exact_arith import MAX_POWER_BITS, _check_powers, is_prime  # noqa: F401 (re-exported)
+from .exact_arith import _check_powers, is_prime
 from .oracle import (
     SCAN_COUNTERS, SearchBounds, SearchReport, _run_chunks, identity_fuzz, roundtrip_check, scan,
 )

@@ -127,8 +127,9 @@ def decompose(sol: Solution) -> tuple[ParameterTuple, DecompositionTrace]:
     constraints gcd(e,q) == gcd(l,q) == gcd(n,r) == 1, and that
     generate(tuple) reproduces sol field by field. A violation raises
     ConstraintViolation or RegenerateMismatch and means a bug, not bad input.
-    TooLarge is raised, before g and n are computed, when the p-th power of
-    e or f would pass MAX_POWER_BITS.
+    TooLarge is raised, before the power is taken, when the p-th power of
+    u or q (before e is computed) or of e or f (before g and n are) would
+    pass MAX_POWER_BITS.
     """
     flags = theorem_grade_flags(sol)
     if not flags["nonzero"]:
@@ -141,6 +142,8 @@ def decompose(sol: Solution) -> tuple[ParameterTuple, DecompositionTrace]:
     a, b = bezout_nonzero(sol.x, sol.z)
     c, d = bezout_nonzero(sol.y, sol.z)
     h, q, u, r = line_coeffs(a, b, c, d)
+    # residual_e raises u and q to p; refuse them before it does.
+    _check_powers(p, u, q)
     e = residual_e(u, q, sol.m, sol.z, p)
     if e == 0:
         raise DegenerateE(

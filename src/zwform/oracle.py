@@ -6,8 +6,8 @@ x**p - m*y**p exactly when m lies in one residue class modulo |z|, so each
 m visits only the triples of its classes. The deliberately naive scan (test
 every instance directly) is kept as the reference it is gated against,
 ``naive_box_scan`` in tests/test_oracle.py. On top of the enumeration sit
-batch round-trip checking, seeded tuple sampling, and identity fuzzing, all
-producing mergeable reports.
+batch round-trip checking, seeded tuple sampling, and a fuzz of generate
+against its paper-literal reference, all producing mergeable reports.
 
 Determinism contract: enumeration output is sorted by (m, x, y, z); report
 counters are plain sums. _run_chunks partitions a box over worker processes
@@ -26,10 +26,10 @@ from math import gcd
 
 from .decomposition import decompose, trace_identities
 from .errors import (
-    ConstraintViolation, DegenerateE, NotDivisible, RegenerateMismatch, TooLarge, ZwformError,
+    ConstraintViolation, DegenerateE, RegenerateMismatch, TooLarge, ZeroZ, ZwformError,
 )
 from .exact_arith import is_prime
-from .parametrization import ParameterTuple, Solution, eval_w, eval_z, generate
+from .parametrization import ParameterTuple, Solution, generate, generate_reference
 
 
 @dataclass(frozen=True)
@@ -59,17 +59,14 @@ class Failure(enum.Enum):
 
     The round trip gives EXCEPTION, CONSTRAINT (ConstraintViolation),
     REGENERATE (RegenerateMismatch) and TRACE; identity_fuzz gives
-    EXCEPTION and one member per relation it checks.
+    EXCEPTION and REFERENCE (generate differs from generate_reference).
     """
 
     EXCEPTION = "exception"
     CONSTRAINT = "constraint"
     REGENERATE = "regenerate"
     TRACE = "trace"
-    IDENTITY = "identity"
-    LINE = "line relation"
-    NORM = "norm relation"
-    BRACKET = "bracket divisibility"
+    REFERENCE = "reference"
 
 
 @dataclass
@@ -85,7 +82,7 @@ class SearchReport:
 
     Invariant: decompose_success + degenerate_e + len(failures) equals
     solutions_found. For identity fuzzing, "decompose_success" counts tuples
-    whose generated solution passed every identity check, and the filtered
+    whose generated solution equals the reference's, and the filtered
     counters stay 0.
     """
 
@@ -291,46 +288,27 @@ _GAMMA = 0x9E3779B97F4A7C15
 
 
 def _mix64(z: int) -> int:
-    """splitmix64's output function of one 64-bit state."""
+    """splitmix64's output function of one 64-bit state.
+
+    This is the single source of randomness in the package: the k-th word
+    of splitmix64 from seed s is _mix64(s + k*_GAMMA mod 2**64), identical
+    on every platform and Python version, and a function of k alone.
+    """
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
     return z ^ (z >> 31)
 
 
-class SplitMix64:
-    """The splitmix64 generator: 64-bit state, identical on every platform.
-
-    This is the single source of randomness in the package; seeded runs are
-    reproducible across machines and Python versions by construction. The
-    k-th word from seed s is _mix64(s + k*_GAMMA mod 2**64), a function of
-    k alone, so a caller may compute the words it needs out of order.
-    """
-
-    def __init__(self, seed: int):
-        self._state = seed & _MASK64
-
-    def next_u64(self) -> int:
-        self._state = (self._state + _GAMMA) & _MASK64
-        return _mix64(self._state)
-
-    def randint(self, lo: int, hi: int) -> int:
-        """Draw from [lo, hi] by reducing one 64-bit word modulo the span.
-
-        The modulo bias is astronomically small for the spans used here
-        (hundreds of values against 2**64) and irrelevant for fuzzing.
-        """
-        return lo + self.next_u64() % (hi - lo + 1)
-
-
 def sample_tuples(p: int, limit: int, count: int, seed: int) -> list[ParameterTuple]:
     """Exactly count tuples with components in [-limit, limit].
 
-    Rejection sampling: each draw takes the next seven words of
-    SplitMix64(seed), reduced as randint(-limit, limit) reduces them, as
-    e, f, g, l, q, n, r, and is discarded unless q != 0 and gcd(e,q) ==
-    gcd(l,q) == gcd(n,r) == 1. A word depends only on its index, so q is
-    computed first, the others only while the draw can still pass, and f
-    and g only for draws that do. Deterministic for a fixed seed.
+    Rejection sampling: draw j (from 0) takes the splitmix64 words
+    _mix64(seed + k*_GAMMA mod 2**64) for k = 7*j + 1 .. 7*j + 7, each
+    reduced modulo 2*limit + 1 and shifted down by limit, as e, f, g, l,
+    q, n, r, and is discarded unless q != 0 and gcd(e,q) == gcd(l,q) ==
+    gcd(n,r) == 1. A word depends only on its index, so q is computed
+    first, the others only while the draw can still pass, and f and g only
+    for draws that do. Deterministic for a fixed seed.
     """
     if limit < 1:
         raise ValueError(f"limit must be >= 1, got {limit}")
@@ -356,19 +334,25 @@ def sample_tuples(p: int, limit: int, count: int, seed: int) -> list[ParameterTu
 
 
 def identity_fuzz(p: int, limit: int, count: int, seed: int) -> SearchReport:
-    """Generate sampled tuples and re-verify every identity independently.
+    """Compare generate with the paper-literal generate_reference on sampled tuples.
 
-    Tuples whose z evaluates to 0 are skipped (they generate nothing).
-    For the rest, the defining identity, the line relation
-    q*x == -z*r + u*y, the norm relation z*e == u**p - m*q**p with
-    u = e*l + f*q, and the exact q**p divisibility of the w bracket are all
-    checked by direct integer arithmetic, not by trusting generate(). The
-    bracket is the paper-literal one of eval_w.
+    Tuples whose z is 0 (ZeroZ from the reference) are skipped: they
+    generate nothing. For the rest, an error from either side is an
+    EXCEPTION failure, and a solution that differs from the reference's in
+    any of x, y, z, m and w is a REFERENCE failure whose detail names the
+    fields that differ.
     """
     report = SearchReport()
     for t in sample_tuples(p, limit, count, seed):
         report.instances_checked += 1
-        if eval_z(t) == 0:
+        try:
+            ref = generate_reference(t)
+        except ZeroZ:
+            continue
+        except ZwformError as exc:
+            report.solutions_found += 1
+            report.failures.append(
+                (t, Failure.EXCEPTION, f"generate_reference: {type(exc).__name__}: {exc}"))
             continue
         report.solutions_found += 1
         try:
@@ -376,21 +360,9 @@ def identity_fuzz(p: int, limit: int, count: int, seed: int) -> SearchReport:
         except ZwformError as exc:
             report.failures.append((t, Failure.EXCEPTION, f"{type(exc).__name__}: {exc}"))
             continue
-        u = t.e * t.l + t.f * t.q
-        try:
-            bracket_ok = eval_w(t, sol.z, sol.y) == sol.w
-        except NotDivisible:
-            bracket_ok = False
-        checks = {
-            Failure.IDENTITY: sol.x ** p - sol.m * sol.y ** p == sol.z * sol.w,
-            Failure.LINE: t.q * sol.x == -sol.z * t.r + u * sol.y,
-            Failure.NORM: sol.z * t.e == u ** p - sol.m * t.q ** p,
-            Failure.BRACKET: bracket_ok,
-        }
-        failed = [kind for kind, ok in checks.items() if not ok]
-        if failed:
-            detail = "failed: " + ", ".join(kind.value for kind in failed)
-            report.failures.append((t, failed[0], detail))
+        differs = [name for name in "xyzmw" if getattr(sol, name) != getattr(ref, name)]
+        if differs:
+            report.failures.append((t, Failure.REFERENCE, "differs in " + ", ".join(differs)))
         else:
             report.decompose_success += 1
     return report

@@ -14,11 +14,12 @@ import pytest
 
 import zwform
 from zwform.cli import (
-    EX_DOMAIN, EX_INTERNAL, EX_IOERR, EX_OK, EX_USAGE, MAX_POWER_BITS, _WRITE_RECORDS,
-    TooLarge, _check_powers, _emit, _record, _solution_record, run,
+    EX_DOMAIN, EX_INTERNAL, EX_IOERR, EX_OK, EX_USAGE, _WRITE_RECORDS,
+    TooLarge, _emit, _record, _solution_record, run,
 )
 from zwform.decomposition import decompose
 from zwform.errors import NotTheoremGrade
+from zwform.exact_arith import MAX_POWER_BITS, _check_powers
 from zwform.oracle import SearchBounds, enumerate_solutions, stream_solutions
 from zwform.parametrization import Solution, is_theorem_grade
 
@@ -335,6 +336,28 @@ class TestHugeP:
     def test_huge_residual_is_refused(self, argv, fmt):
         # The inputs' own powers pass the check, but decompose's residuals e
         # and f do not: the pipeline raises e to p - 2 and f to p.
+        done = run_child(["-m", "zwform", *argv, "--format", fmt], timeout=5)
+        assert done.returncode == EX_DOMAIN, done.stderr
+        assert done.stdout == ("error TooLarge\n" if fmt == "text"
+                               else '{"kind":"error","error":"TooLarge"}\n')
+        assert "MAX_POWER_BITS" in done.stderr
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_huge_line_coefficient_is_refused(self, fmt):
+        # x**p has 100,900 bits and passes the check, but the recovered q
+        # has 100,701 bits, and residual_e raises u and q to p before any e
+        # exists. z = x**(p-1) + ... + 1 has 30,344 digits.
+        x, p = 2**100, 1009
+        z = (x ** p - 1) // (x - 1)
+        limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+        if limit is not None:
+            sys.set_int_max_str_digits(0)
+        try:
+            argv = ["decompose", "--p", str(p), "--x", str(x), "--y", "1", "--z", str(z),
+                    "--m", "1"]
+        finally:
+            if limit is not None:
+                sys.set_int_max_str_digits(limit)
         done = run_child(["-m", "zwform", *argv, "--format", fmt], timeout=5)
         assert done.returncode == EX_DOMAIN, done.stderr
         assert done.stdout == ("error TooLarge\n" if fmt == "text"

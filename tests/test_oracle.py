@@ -12,20 +12,19 @@ from test_acceptance import A3_FAILURES, A4_FAILURES, A5_FAILURES, select_failur
 from test_cli import search_report
 from zwform import decomposition, oracle
 from zwform.cli import _emit, _solution_record, run
-from zwform.errors import NotDivisible, ZeroZ
+from zwform.errors import IdentityViolation, NotDivisible, ZeroZ
 from zwform.oracle import (
     SCAN_COUNTERS,
     Failure,
     SearchBounds,
     SearchReport,
-    SplitMix64,
     enumerate_solutions,
     identity_fuzz,
     roundtrip_check,
     sample_tuples,
     stream_solutions,
 )
-from zwform.parametrization import ParameterTuple, Solution, generate, is_theorem_grade
+from zwform.parametrization import ParameterTuple, Solution, eval_z, generate, is_theorem_grade
 
 
 def naive_box_scan(p, bound, m_min, m_max):
@@ -278,6 +277,22 @@ class TestFailureCategories:
                     or A4_FAILURES & A5_FAILURES)
 
 
+class SplitMix64:
+    """The splitmix64 generator, stepped in order: the reference for the
+    package's out-of-order words, oracle._mix64 of seed + k*gamma."""
+
+    def __init__(self, seed):
+        self._state = seed & oracle._MASK64
+
+    def next_u64(self):
+        self._state = (self._state + oracle._GAMMA) & oracle._MASK64
+        return oracle._mix64(self._state)
+
+    def randint(self, lo, hi):
+        """Draw from [lo, hi] by reducing one 64-bit word modulo the span."""
+        return lo + self.next_u64() % (hi - lo + 1)
+
+
 class TestSplitMix64:
     def test_known_vectors_seed_zero(self):
         rng = SplitMix64(0)
@@ -363,17 +378,40 @@ class TestIdentityFuzz:
                 continue
             assert sol.x ** 3 - sol.m * sol.y ** 3 == sol.z * sol.w
 
-    @pytest.mark.parametrize("broken", ["off_by_one", "not_divisible"])
-    def test_bracket_failure_is_reported(self, monkeypatch, broken):
-        # A wrong quotient and an inexact q**p division are one failure class.
-        def fake_eval_w(t, z, y):
-            if broken == "not_divisible":
-                raise NotDivisible("bracket")
-            return oracle.generate(t).w + 1
-
-        monkeypatch.setattr(oracle, "eval_w", fake_eval_w)
+    def test_wrong_w_is_a_reference_failure(self, monkeypatch):
+        monkeypatch.setattr(oracle, "generate", _shift_w)
         report = identity_fuzz(3, 4, 50, seed=5)
         assert report.solutions_found > 0
         assert report.decompose_success == 0
-        assert {kind for _, kind, _ in report.failures} == {Failure.BRACKET}
-        assert {detail for _, _, detail in report.failures} == {"failed: bracket divisibility"}
+        assert {kind for _, kind, _ in report.failures} == {Failure.REFERENCE}
+        assert {detail for _, _, detail in report.failures} == {"differs in w"}
+
+    def test_reference_error_is_an_exception_failure(self, monkeypatch):
+        def broken_reference(t):
+            raise IdentityViolation("injected")
+
+        monkeypatch.setattr(oracle, "generate_reference", broken_reference)
+        report = identity_fuzz(3, 4, 50, seed=5)
+        assert report.solutions_found == 50
+        assert report.decompose_success == 0
+        assert {kind for _, kind, _ in report.failures} == {Failure.EXCEPTION}
+        assert {detail for _, _, detail in report.failures} == {
+            "generate_reference: IdentityViolation: injected"}
+
+    @pytest.mark.parametrize("p", [2, 3, 7])
+    def test_degenerate_z_shift_is_caught(self, monkeypatch, p):
+        # A z off by q**p in generate's e == 0 branch, with x and w computed
+        # from it (at e == 0, |q| == 1, so that is generate at g + 1). The
+        # identity, the line and norm relations and the paper's w bracket
+        # all hold for such a solution; only the reference tells it apart.
+        real = oracle.generate
+        monkeypatch.setattr(
+            oracle, "generate",
+            lambda t: real(dataclasses.replace(t, g=t.g + 1) if t.e == 0 else t))
+        report = identity_fuzz(p, 3, 300, seed=1)
+        degenerate = [t for t in sample_tuples(p, 3, 300, seed=1) if t.e == 0 and eval_z(t)]
+        assert len(degenerate) >= 20
+        assert [t for t, _, _ in report.failures] == degenerate
+        assert {(kind, detail) for _, kind, detail in report.failures} == {
+            (Failure.REFERENCE, "differs in x, z, w")}
+        assert report.consistent()
