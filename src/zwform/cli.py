@@ -285,8 +285,10 @@ def _cmd_roundtrip(args) -> int:
     if args.fuzz_count < 0:
         raise UsageError(f"--fuzz-count must be >= 0, got {args.fuzz_count}")
     _check_powers(bounds.p, bounds.bound)
-    report = roundtrip_check(bounds, jobs=args.jobs)
+    # The fuzz refuses a reference it cannot afford before sampling, so it
+    # runs first: a refusal comes before the box's round trip, not after.
     fuzz = identity_fuzz(args.p, args.bound, args.fuzz_count, args.seed)
+    report = roundtrip_check(bounds, jobs=args.jobs)
     counts = report.as_counts()
     counts.update({f"fuzz_{key}": value for key, value in fuzz.as_counts().items()})
     _emit(_record("report", counts=counts), args.format, sys.stdout)

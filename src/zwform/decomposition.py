@@ -1,7 +1,9 @@
 """Constructive inverse: recover a ParameterTuple from a solution.
 
 Given a theorem-grade solution (all of x, y, z, m, w nonzero, x, y, z
-pairwise coprime, identity exact), the pipeline runs:
+pairwise coprime, identity exact), the pipeline runs in two parts. The row
+part, steps 1 and 2, reads only the row (x, y, z); ``row_prefix`` runs it.
+The m part, steps 3 to 5, also reads m; ``m_step`` runs it on a prefix:
 
     1. Bezout coefficients  a*x - b*z == 1  and  c*y - d*z == 1, a, c != 0.
     2. h = gcd(a, c) > 0, q = a/h, u = c/h, r = (d - b)/h. Dividing the
@@ -19,18 +21,38 @@ deterministic and its full intermediate trace is kept for auditing. The one
 genuinely undefined path is e == 0 (equivalently u**p == m*q**p, which
 forces |q| == 1 and m to be a p-th power up to sign): g has no defining
 relation there and DegenerateE is raised with the partial trace.
+
+Every solution of one row shares its prefix, so a batch over many m (the
+oracle's round trip) computes the prefix once per row and runs only the m
+step per solution; ``decompose`` is the same two calls on one solution.
+``trace_identities`` splits the same way, into ``row_identities`` and
+``m_identities``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
+from typing import NamedTuple
 
 from .exact_arith import _check_powers, exact_div, extgcd
 from .errors import (
     ConstraintViolation, DegenerateE, NotCoprime, NotTheoremGrade, RegenerateMismatch,
 )
 from .parametrization import ParameterTuple, Solution, generate, theorem_grade_flags
+
+
+class RowPrefix(NamedTuple):
+    """The intermediates of steps 1 and 2, which depend on (x, y, z) alone."""
+
+    a: int
+    b: int
+    c: int
+    d: int
+    h: int
+    u: int
+    q: int
+    r: int
 
 
 @dataclass
@@ -120,35 +142,40 @@ def residual_n(y: int, e: int, l: int, r: int, q: int, p: int) -> int:
     return exact_div(y - e ** (p - 2) * l ** (p - 1) * r, q)
 
 
-def decompose(sol: Solution) -> tuple[ParameterTuple, DecompositionTrace]:
-    """Run the full pipeline and return (tuple, trace).
+def row_prefix(p: int, x: int, y: int, z: int) -> RowPrefix:
+    """Steps 1 and 2 on one row: both Bezout pairs and the line coefficients.
 
-    Postconditions checked before returning: q != 0, the three coprimality
-    constraints gcd(e,q) == gcd(l,q) == gcd(n,r) == 1, and that
-    generate(tuple) reproduces sol field by field. A violation raises
-    ConstraintViolation or RegenerateMismatch and means a bug, not bad input.
-    TooLarge is raised, before the power is taken, when the p-th power of
-    u or q (before e is computed) or of e or f (before g and n are) would
-    pass MAX_POWER_BITS.
+    Requires x, y, z pairwise coprime (bezout_nonzero raises NotCoprime
+    otherwise). TooLarge is raised when the p-th power that residual_e takes
+    of u or q would pass MAX_POWER_BITS, before any m step takes it.
     """
-    flags = theorem_grade_flags(sol)
-    if not flags["nonzero"]:
-        raise NotTheoremGrade(f"x, y, z, m, w must all be nonzero, got {sol}")
-    if not flags["pairwise_coprime"]:
-        raise NotTheoremGrade(f"x, y, z must be pairwise coprime, got {sol}")
-    if not flags["identity"]:
-        raise NotTheoremGrade(f"x**p - m*y**p != z*w for {sol}")
-    p = sol.p
-    a, b = bezout_nonzero(sol.x, sol.z)
-    c, d = bezout_nonzero(sol.y, sol.z)
+    a, b = bezout_nonzero(x, z)
+    c, d = bezout_nonzero(y, z)
     h, q, u, r = line_coeffs(a, b, c, d)
     # residual_e raises u and q to p; refuse them before it does.
     _check_powers(p, u, q)
+    return RowPrefix(a, b, c, d, h, u, q, r)
+
+
+def m_step(sol: Solution, prefix: RowPrefix) -> tuple[ParameterTuple, DecompositionTrace]:
+    """Steps 3 to 5 on sol, given its row's prefix, and the postconditions.
+
+    sol must be theorem grade and prefix must be row_prefix of its row;
+    decompose checks the one and computes the other. Postconditions checked
+    before returning: q != 0, the three coprimality constraints gcd(e,q) ==
+    gcd(l,q) == gcd(n,r) == 1, and that generate(tuple) reproduces sol
+    field by field. A violation raises ConstraintViolation or
+    RegenerateMismatch and means a bug, not bad input. TooLarge is raised
+    before g and n are computed when the p-th power of e or f would pass
+    MAX_POWER_BITS.
+    """
+    p = sol.p
+    a, b, c, d, h, u, q, r = prefix
     e = residual_e(u, q, sol.m, sol.z, p)
     if e == 0:
         raise DegenerateE(
             f"u**p == m*q**p for {sol}: m = {sol.m} is a p-th power up to sign",
-            {"a": a, "b": b, "c": c, "d": d, "h": h, "u": u, "q": q, "r": r, "e": 0},
+            {**prefix._asdict(), "e": 0},
         )
     l, f = split_u(u, e, q)
     # The residuals raise f to p and e to p - 2; refuse them before they do.
@@ -164,18 +191,31 @@ def decompose(sol: Solution) -> tuple[ParameterTuple, DecompositionTrace]:
     return tup, DecompositionTrace(a, b, c, d, h, u, q, r, e, l, f, g, n)
 
 
-def trace_identities(sol: Solution, trace: DecompositionTrace) -> dict[str, bool]:
-    """Exact re-check of every relation the pipeline relies on.
+def decompose(sol: Solution) -> tuple[ParameterTuple, DecompositionTrace]:
+    """Run the full pipeline and return (tuple, trace).
 
-    Keyed by relation name; all values are True for any trace produced by a
-    successful decompose. Kept separate from decompose so tests and batch
-    audits can verify traces without trusting the pipeline's own checks.
+    Refuses a solution that is not theorem grade with NotTheoremGrade, naming
+    the first hypothesis it fails, then runs m_step on row_prefix of its
+    row; see those two for the postconditions and the TooLarge refusals.
     """
-    t = trace
-    p = sol.p
+    flags = theorem_grade_flags(sol)
+    if not flags["nonzero"]:
+        raise NotTheoremGrade(f"x, y, z, m, w must all be nonzero, got {sol}")
+    if not flags["pairwise_coprime"]:
+        raise NotTheoremGrade(f"x, y, z must be pairwise coprime, got {sol}")
+    if not flags["identity"]:
+        raise NotTheoremGrade(f"x**p - m*y**p != z*w for {sol}")
+    return m_step(sol, row_prefix(sol.p, sol.x, sol.y, sol.z))
+
+
+def row_identities(x: int, y: int, z: int, t) -> dict[str, bool]:
+    """Exact re-check of the relations of steps 1 and 2 on one row.
+
+    t is a RowPrefix or a DecompositionTrace of the row (x, y, z).
+    """
     return {
-        "bezout_x": t.a * sol.x - t.b * sol.z == 1 and t.a != 0,
-        "bezout_y": t.c * sol.y - t.d * sol.z == 1 and t.c != 0,
+        "bezout_x": t.a * x - t.b * z == 1 and t.a != 0,
+        "bezout_y": t.c * y - t.d * z == 1 and t.c != 0,
         "gcd_split": (
             t.h == gcd(t.a, t.c)
             and t.h > 0
@@ -183,9 +223,28 @@ def trace_identities(sol: Solution, trace: DecompositionTrace) -> dict[str, bool
             and t.c == t.u * t.h
             and t.d - t.b == t.r * t.h
         ),
-        "line": t.q * sol.x == -sol.z * t.r + t.u * sol.y,
+        "line": t.q * x == -z * t.r + t.u * y,
+    }
+
+
+def m_identities(sol: Solution, trace: DecompositionTrace) -> dict[str, bool]:
+    """Exact re-check of the relations of steps 3 to 5 on one solution."""
+    t = trace
+    p = sol.p
+    return {
         "residual_e": t.u ** p - sol.m * t.q ** p == sol.z * t.e,
         "split_u": t.u == t.e * t.l + t.f * t.q,
         "residual_g": t.f ** p - sol.m == t.e * t.g,
         "residual_n": sol.y == t.n * t.q + t.e ** (p - 2) * t.l ** (p - 1) * t.r,
     }
+
+
+def trace_identities(sol: Solution, trace: DecompositionTrace) -> dict[str, bool]:
+    """Exact re-check of every relation the pipeline relies on.
+
+    Keyed by relation name: the four of row_identities, then the four of
+    m_identities. All values are True for any trace produced by a
+    successful decompose. Kept separate from decompose so tests and batch
+    audits can verify traces without trusting the pipeline's own checks.
+    """
+    return {**row_identities(sol.x, sol.y, sol.z, trace), **m_identities(sol, trace)}

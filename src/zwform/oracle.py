@@ -24,7 +24,7 @@ from dataclasses import dataclass, field, fields, replace
 from functools import lru_cache
 from math import gcd
 
-from .decomposition import decompose, trace_identities
+from .decomposition import decompose, m_identities, m_step, row_identities, row_prefix
 from .errors import (
     ConstraintViolation, DegenerateE, RegenerateMismatch, TooLarge, ZeroZ, ZwformError,
 )
@@ -186,20 +186,56 @@ def _batches(bounds: SearchBounds, stats):
         yield m, sols
 
 
+def _row_entry(p: int, x: int, y: int, z: int) -> tuple:
+    """The round trip's cache entry for one row: (prefix, failed row relations).
+
+    prefix is decomposition.row_prefix of the row, and the failed row
+    relations are the names row_identities finds false for it, in order.
+    prefix is None when x, y, z are not nonzero and pairwise coprime, or
+    when row_prefix refuses the row with anything but TooLarge, which
+    propagates.
+    """
+    if 0 in (x, y, z) or not gcd(x, y) == gcd(x, z) == gcd(y, z) == 1:
+        return None, ()
+    try:
+        prefix = row_prefix(p, x, y, z)
+    except TooLarge:
+        raise
+    except ZwformError:
+        return None, ()
+    return prefix, tuple(name for name, ok in row_identities(x, y, z, prefix).items() if not ok)
+
+
 def _roundtrip_chunk(bounds: SearchBounds) -> SearchReport:
-    """Worker: enumerate one m chunk, decompose every solution (decompose
-    checks the constraints and the regenerate itself) and audit its trace.
-    TooLarge is a refusal of the whole box, not one solution's failure, so
-    it propagates."""
+    """Worker: enumerate one m chunk and round-trip every solution.
+
+    The row part of each decomposition is done once per row: _row_entry is
+    computed at the row's first solution and kept by row index. Per
+    solution, the identity and m, w != 0 are checked, decomposition.m_step
+    runs on the row's prefix (it checks the constraints and the regenerate
+    itself) and the m relations are audited. A solution of a row without a
+    prefix goes through decompose, which raises what is wrong with it. A
+    row relation that fails is a TRACE failure of every solution of its
+    row that decomposes. TooLarge is a refusal of the whole box, not one
+    solution's failure, so it propagates.
+    """
     p = bounds.p
     rep = SearchReport()
     rows, batches = scan(bounds, rep)
+    entries = [None] * len(rows)
     for m, sols in batches:
         for i, w in sols:
             x, y, z, _, _ = rows[i]
             sol = Solution(p, x, y, z, m, w)
+            entry = entries[i]
+            if entry is None:
+                entry = entries[i] = _row_entry(p, x, y, z)
+            prefix, bad_row = entry
             try:
-                tup, trace = decompose(sol)
+                if prefix is not None and m and w and sol.identity_holds():
+                    tup, trace = m_step(sol, prefix)
+                else:
+                    tup, trace = decompose(sol)
             except DegenerateE:
                 rep.degenerate_e += 1
                 continue
@@ -214,8 +250,9 @@ def _roundtrip_chunk(bounds: SearchBounds) -> SearchReport:
             except ZwformError as exc:
                 rep.failures.append((sol, Failure.EXCEPTION, f"{type(exc).__name__}: {exc}"))
                 continue
-            bad = [name for name, ok in trace_identities(sol, trace).items() if not ok]
-            if bad:
+            checks = m_identities(sol, trace)
+            if bad_row or not all(checks.values()):
+                bad = bad_row + tuple(name for name, ok in checks.items() if not ok)
                 rep.failures.append((sol, Failure.TRACE, ",".join(bad)))
             else:
                 rep.decompose_success += 1
@@ -333,6 +370,17 @@ def sample_tuples(p: int, limit: int, count: int, seed: int) -> list[ParameterTu
     return out
 
 
+# The most bits the reference sums of one fuzzed tuple may add up to. A
+# sampled tuple's components have at most width = limit.bit_length() bits.
+# The z sum multiplies 2p - 1 of them per term, so z has about
+# p * (2*width - 1) bits (p at limit 1, where the powers stay 1), and
+# eval_w's sum has p terms of up to about p * bits(z) bits. On a 2-core
+# x86-64 host with CPython 3.11, the largest admitted p took 0.8 ms per
+# tuple at limit 1 (p = 127), 7 ms at limit 10 (p = 61) and up to 27 ms at
+# larger limits (p = 47 at limit 1000, p = 19 at limit 2**100).
+MAX_REFERENCE_BITS = 1 << 21
+
+
 def identity_fuzz(p: int, limit: int, count: int, seed: int) -> SearchReport:
     """Compare generate with the paper-literal generate_reference on sampled tuples.
 
@@ -340,8 +388,14 @@ def identity_fuzz(p: int, limit: int, count: int, seed: int) -> SearchReport:
     generate nothing. For the rest, an error from either side is an
     EXCEPTION failure, and a solution that differs from the reference's in
     any of x, y, z, m and w is a REFERENCE failure whose detail names the
-    fields that differ.
+    fields that differ. Before any tuple is sampled, a fuzz whose reference
+    sums would pass MAX_REFERENCE_BITS is refused with TooLarge; a count of
+    0 samples nothing and is never refused.
     """
+    cost = p * p * p * (2 * limit.bit_length() - 1)
+    if count > 0 and cost > MAX_REFERENCE_BITS:
+        raise TooLarge(f"the reference sums of one tuple at p = {p}, limit {limit} add up to "
+                       f"about {cost} bits, more than MAX_REFERENCE_BITS = {MAX_REFERENCE_BITS}")
     report = SearchReport()
     for t in sample_tuples(p, limit, count, seed):
         report.instances_checked += 1

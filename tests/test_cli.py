@@ -343,6 +343,17 @@ class TestHugeP:
         assert "MAX_POWER_BITS" in done.stderr
 
     @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_huge_fuzz_reference_is_refused(self, fmt):
+        # At bound 1 every power passes MAX_POWER_BITS and the box round-trips,
+        # but the fuzz's reference sums have p terms of about p**2 bits.
+        argv = ["roundtrip", "--p", "1000000000000000003", "--bound", "1", "--m", "1..1"]
+        done = run_child(["-m", "zwform", *argv, "--format", fmt], timeout=5)
+        assert done.returncode == EX_DOMAIN, done.stderr
+        assert done.stdout == ("error TooLarge\n" if fmt == "text"
+                               else '{"kind":"error","error":"TooLarge"}\n')
+        assert "MAX_REFERENCE_BITS" in done.stderr
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
     def test_huge_line_coefficient_is_refused(self, fmt):
         # x**p has 100,900 bits and passes the check, but the recovered q
         # has 100,701 bits, and residual_e raises u and q to p before any e

@@ -11,9 +11,12 @@ from zwform.decomposition import (
     bezout_nonzero,
     decompose,
     line_coeffs,
+    m_identities,
     residual_e,
     residual_g,
     residual_n,
+    row_identities,
+    row_prefix,
     split_u,
     trace_identities,
 )
@@ -238,6 +241,15 @@ class TestTraceIdentities:
                 "residual_e", "split_u", "residual_g", "residual_n",
             }
             assert all(checks.values())
+
+    def test_union_of_row_and_m_relations(self):
+        for sol, _, trace in FROZEN_ROUNDTRIPS:
+            row = row_identities(sol.x, sol.y, sol.z, trace)
+            assert list(row) == ["bezout_x", "bezout_y", "gcd_split", "line"]
+            assert row == row_identities(sol.x, sol.y, sol.z, row_prefix(sol.p, sol.x, sol.y, sol.z))
+            assert list(m_identities(sol, trace)) == [
+                "residual_e", "split_u", "residual_g", "residual_n"]
+            assert trace_identities(sol, trace) == {**row, **m_identities(sol, trace)}
 
     def test_detects_corruption(self):
         sol, _, trace = FROZEN_ROUNDTRIPS[0]

@@ -12,7 +12,11 @@ from test_acceptance import A3_FAILURES, A4_FAILURES, A5_FAILURES, select_failur
 from test_cli import search_report
 from zwform import decomposition, oracle
 from zwform.cli import _emit, _solution_record, run
-from zwform.errors import IdentityViolation, NotDivisible, ZeroZ
+from zwform.decomposition import decompose, m_step, row_prefix, trace_identities
+from zwform.errors import (
+    ConstraintViolation, DegenerateE, IdentityViolation, NotDivisible, RegenerateMismatch, TooLarge,
+    ZeroZ, ZwformError,
+)
 from zwform.oracle import (
     SCAN_COUNTERS,
     Failure,
@@ -233,13 +237,48 @@ class TestRoundtripCheck:
         assert not rep.consistent()
 
 
+def roundtrip_reference(bounds):
+    """The round trip solution by solution: decompose and trace_identities
+    on every enumerated solution, with no work shared between the solutions
+    of one row. The reference the row cache of roundtrip_check is gated
+    against."""
+    report = SearchReport()
+    sols = []
+    report.absorb(stream_solutions(bounds, sols.append))
+    for sol in sols:
+        try:
+            tup, trace = decompose(sol)
+        except DegenerateE:
+            report.degenerate_e += 1
+            continue
+        except ConstraintViolation as exc:
+            report.failures.append((sol, Failure.CONSTRAINT, str(exc)))
+            continue
+        except RegenerateMismatch as exc:
+            report.failures.append((sol, Failure.REGENERATE, str(exc)))
+            continue
+        except ZwformError as exc:
+            report.failures.append((sol, Failure.EXCEPTION, f"{type(exc).__name__}: {exc}"))
+            continue
+        bad = [name for name, ok in trace_identities(sol, trace).items() if not ok]
+        if bad:
+            report.failures.append((sol, Failure.TRACE, ",".join(bad)))
+        else:
+            report.decompose_success += 1
+    return report
+
+
 def _shift_w(t):
     sol = generate(t)
     return dataclasses.replace(sol, w=sol.w + 1)
 
 
-def _one_false(sol, trace):
-    return {**decomposition.trace_identities(sol, trace), "line": False}
+def _one_false(sol, trace, m_identities=decomposition.m_identities):
+    return {**m_identities(sol, trace), "residual_n": False}
+
+
+def _line_false_where_x_positive(x, y, z, t, row_identities=decomposition.row_identities):
+    return {**row_identities(x, y, z, t), "line": x <= 0}
 
 
 def _not_divisible(*args):
@@ -250,31 +289,115 @@ class TestFailureCategories:
     """Each round-trip failure class, injected, reaches exactly its acceptance gate."""
 
     GATES = {"A3": A3_FAILURES, "A4": A4_FAILURES, "A5": A5_FAILURES}
+    BOUNDS = SearchBounds(2, 4, -3, 3)
+
+    def gates_seeing(self, report):
+        """The gates whose categories select any of report's failures."""
+        return {gate for gate, categories in self.GATES.items()
+                if select_failures([report], categories)}
 
     @pytest.mark.parametrize("category, target, name, fake", [
         (Failure.CONSTRAINT, decomposition.ParameterTuple, "satisfies_gcd_constraints",
          lambda self: False),
         (Failure.REGENERATE, decomposition, "generate", _shift_w),
-        (Failure.TRACE, oracle, "trace_identities", _one_false),
+        (Failure.TRACE, oracle, "m_identities", _one_false),
         (Failure.EXCEPTION, decomposition, "residual_e", _not_divisible),
     ], ids=["constraint", "regenerate", "trace", "exception"])
     def test_injected_failure_reaches_its_gate(self, monkeypatch, category, target, name, fake):
         monkeypatch.setattr(target, name, fake)
-        report = roundtrip_check(SearchBounds(2, 4, -3, 3))
+        report = roundtrip_check(self.BOUNDS)
         assert report.solutions_found > 0
         assert report.failures
         assert {kind for _, kind, _ in report.failures} == {category}
         assert report.consistent()
-        seen_by = {gate for gate, categories in self.GATES.items()
-                   if select_failures([report], categories)}
-        assert len(seen_by) == 1
-        assert select_failures([report], self.GATES[seen_by.pop()]) == report.failures
+        (gate,) = self.gates_seeing(report)
+        assert select_failures([report], self.GATES[gate]) == report.failures
+
+    def test_injected_row_failure_reaches_every_solution_of_its_rows(self, monkeypatch):
+        # A row relation is checked once per row; its failure is still one
+        # TRACE failure per solution of the row, as when every solution's
+        # trace was audited in full.
+        monkeypatch.setattr(oracle, "row_identities", _line_false_where_x_positive)
+        report = roundtrip_check(self.BOUNDS)
+        affected = []
+        for sol in enumerate_solutions(self.BOUNDS):
+            try:
+                decompose(sol)
+            except DegenerateE:
+                continue
+            if sol.x > 0:
+                affected.append(sol)
+        assert affected
+        assert [sol for sol, _, _ in report.failures] == affected
+        assert {(kind, detail) for _, kind, detail in report.failures} == {(Failure.TRACE, "line")}
+        assert report.consistent()
+        assert self.gates_seeing(report) == {"A5"}
 
     def test_every_category_has_a_gate(self):
         round_trip = {Failure.EXCEPTION, Failure.CONSTRAINT, Failure.REGENERATE, Failure.TRACE}
         assert A3_FAILURES | A4_FAILURES | A5_FAILURES == round_trip
         assert not (A3_FAILURES & A4_FAILURES or A3_FAILURES & A5_FAILURES
                     or A4_FAILURES & A5_FAILURES)
+
+
+class TestRowCache:
+    """roundtrip_check's per-row prefixes against the solution-by-solution round trip."""
+
+    BOXES = [SearchBounds(2, 6, -6, 6), SearchBounds(3, 6, -6, 6),
+             SearchBounds(5, 5, -10, 10), SearchBounds(7, 4, -10, 10)]
+    IDS = ["p2", "p3", "p5", "p7"]
+
+    @pytest.mark.parametrize("bounds", BOXES, ids=IDS)
+    def test_report_matches_reference(self, bounds):
+        report = roundtrip_check(bounds)
+        reference = roundtrip_reference(bounds)
+        assert report.degenerate_e > 0 and report.decompose_success > 0
+        assert report.as_counts() == reference.as_counts()
+        assert report.failures == reference.failures
+
+    @pytest.mark.parametrize("target, name, fake", [
+        (decomposition, "row_identities", _line_false_where_x_positive),
+        (decomposition, "m_identities", _one_false),
+        (decomposition, "residual_e", _not_divisible),
+    ], ids=["row_relation", "m_relation", "exception"])
+    def test_injected_failures_match_reference(self, monkeypatch, target, name, fake):
+        # The chunk calls the relations through oracle's names, the
+        # reference through trace_identities': patch both.
+        monkeypatch.setattr(target, name, fake)
+        if hasattr(oracle, name):
+            monkeypatch.setattr(oracle, name, fake)
+        bounds = SearchBounds(3, 4, -4, 4)
+        report = roundtrip_check(bounds)
+        reference = roundtrip_reference(bounds)
+        assert report.failures
+        assert report.as_counts() == reference.as_counts()
+        assert report.failures == reference.failures
+
+    @pytest.mark.parametrize("bounds, wide_q_rows", [
+        *((bounds, 0) for bounds in BOXES), (SearchBounds(3, 10, -8, 8), 300),
+    ], ids=[*IDS, "p3_wide_q"])
+    def test_prefix_once_per_row_matches_decompose(self, bounds, wide_q_rows):
+        # wide_q_rows is a floor on the rows whose |q| > 1, where l and the
+        # split of u are not trivial.
+        prefixes = {}
+        outcomes = []
+        for sol in enumerate_solutions(bounds):
+            row = (sol.x, sol.y, sol.z)
+            if row not in prefixes:
+                prefixes[row] = row_prefix(sol.p, *row)
+            try:
+                reused = m_step(sol, prefixes[row])
+            except DegenerateE:
+                reused = DegenerateE
+            try:
+                direct = decompose(sol)
+            except DegenerateE:
+                direct = DegenerateE
+            assert reused == direct, sol
+            outcomes.append(direct)
+        assert DegenerateE in outcomes
+        assert len(outcomes) > len(prefixes)
+        assert sum(abs(prefix.q) > 1 for prefix in prefixes.values()) >= wide_q_rows
 
 
 class SplitMix64:
@@ -368,6 +491,18 @@ class TestIdentityFuzz:
         report = identity_fuzz(3, 8, 500, seed=9)
         assert report.solutions_found <= report.instances_checked
         assert report.decompose_success + len(report.failures) == report.solutions_found
+
+    def test_reference_cost_budget(self):
+        # The roundtrip-box workload's boxes, the README's p = 7 fuzz and the
+        # largest p at limit 1 pass; the next prime does not. (A p whose
+        # fuzz would not finish is refused in a child, in test_cli.py.)
+        assert 127 ** 3 <= oracle.MAX_REFERENCE_BITS < 131 ** 3
+        for p, limit in ((2, 10), (3, 10), (7, 20), (127, 1)):
+            assert identity_fuzz(p, limit, 1, seed=0).instances_checked == 1
+        with pytest.raises(TooLarge, match="MAX_REFERENCE_BITS"):
+            identity_fuzz(131, 1, 1, seed=0)
+        assert identity_fuzz(1000000000000000003, 1, 0, seed=0).as_counts() == \
+            SearchReport().as_counts()
 
     def test_matches_generate(self):
         # The fuzzer must exercise exactly the tuples sample_tuples yields.
