@@ -20,11 +20,12 @@ Every division is exact and every choice is canonical, so the procedure is
 deterministic and its full intermediate trace is kept for auditing. The one
 genuinely undefined path is e == 0 (equivalently u**p == m*q**p, which
 forces |q| == 1 and m to be a p-th power up to sign): g has no defining
-relation there and DegenerateE is raised with the partial trace.
+relation there, and m_step raises DegenerateE, the only place that does.
 
-Every solution of one row shares its prefix, so a batch over many m (the
-oracle's round trip) computes the prefix once per row and runs only the m
-step per solution; ``decompose`` is the same two calls on one solution.
+Every solution of one row shares its prefix. The oracle's round trip, whose
+rows the scan has already found theorem grade, computes the prefix once per
+row and runs only the m step per solution; ``decompose`` is the
+theorem-grade check plus the same two calls on one solution.
 ``trace_identities`` splits the same way, into ``row_identities`` and
 ``m_identities``.
 """
@@ -117,23 +118,24 @@ def split_u(u: int, e: int, q: int) -> tuple[int, int]:
 
     Solvable because gcd(e, q) == 1 in the pipeline: l is u/e modulo |q|
     and f the exact quotient of the remainder; an e with no inverse modulo
-    |q| raises ValueError. At |q| == 1 the convention is l = 0, f = u/q.
-    The whole family l -> l + q*t, f -> f - e*t also works; this function
+    |q|, e == 0 among them, raises ValueError, and q == 0 raises
+    ZeroDivisionError. At |q| == 1 the convention is l = 0, f = u/q. The
+    whole family l -> l + q*t, f -> f - e*t also works; this function
     always picks the canonical member.
     """
     mod = abs(q)
     if mod == 1:
         return 0, u // q
-    if e % mod == 0:
-        raise DegenerateE(f"e = {e} is 0 modulo q = {q}, cannot split u")
-    l = pow(e, -1, mod) * u % mod
+    # At q == 0, e % mod raises ZeroDivisionError (pow would raise ValueError).
+    l = pow(e % mod, -1, mod) * u % mod
     return l, exact_div(u - e * l, q)
 
 
 def residual_g(f: int, m: int, e: int, p: int) -> int:
-    """g = (f**p - m) / e, exact for pipeline-produced inputs."""
-    if e == 0:
-        raise DegenerateE("e = 0 leaves g undefined (f**p - m = e*g has no solution)")
+    """g = (f**p - m) / e, exact for pipeline-produced inputs.
+
+    e == 0 leaves g undefined and raises ZeroDivisionError.
+    """
     return exact_div(f ** p - m, e)
 
 
@@ -173,10 +175,7 @@ def m_step(sol: Solution, prefix: RowPrefix) -> tuple[ParameterTuple, Decomposit
     a, b, c, d, h, u, q, r = prefix
     e = residual_e(u, q, sol.m, sol.z, p)
     if e == 0:
-        raise DegenerateE(
-            f"u**p == m*q**p for {sol}: m = {sol.m} is a p-th power up to sign",
-            {**prefix._asdict(), "e": 0},
-        )
+        raise DegenerateE(f"u**p == m*q**p for {sol}: m = {sol.m} is a p-th power up to sign")
     l, f = split_u(u, e, q)
     # The residuals raise f to p and e to p - 2; refuse them before they do.
     _check_powers(p, e, f)

@@ -50,13 +50,8 @@ class NotTheoremGrade(ZwformError):
 class DegenerateE(ZwformError):
     """The residual e vanished (u**p == m * q**p), so g cannot be defined.
 
-    This only happens when m is a p-th power times a unit. The pipeline
-    intermediates computed up to the failure are carried in ``partial``.
+    This only happens when m is a p-th power times a unit.
     """
-
-    def __init__(self, message: str, partial: dict | None = None):
-        super().__init__(message)
-        self.partial = dict(partial or {})
 
 
 class IdentityViolation(ZwformError):

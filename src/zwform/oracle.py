@@ -24,7 +24,7 @@ from dataclasses import dataclass, field, fields, replace
 from functools import lru_cache
 from math import gcd
 
-from .decomposition import decompose, m_identities, m_step, row_identities, row_prefix
+from .decomposition import m_identities, m_step, row_identities, row_prefix
 from .errors import (
     ConstraintViolation, DegenerateE, RegenerateMismatch, TooLarge, ZeroZ, ZwformError,
 )
@@ -186,38 +186,19 @@ def _batches(bounds: SearchBounds, stats):
         yield m, sols
 
 
-def _row_entry(p: int, x: int, y: int, z: int) -> tuple:
-    """The round trip's cache entry for one row: (prefix, failed row relations).
-
-    prefix is decomposition.row_prefix of the row, and the failed row
-    relations are the names row_identities finds false for it, in order.
-    prefix is None when x, y, z are not nonzero and pairwise coprime, or
-    when row_prefix refuses the row with anything but TooLarge, which
-    propagates.
-    """
-    if 0 in (x, y, z) or not gcd(x, y) == gcd(x, z) == gcd(y, z) == 1:
-        return None, ()
-    try:
-        prefix = row_prefix(p, x, y, z)
-    except TooLarge:
-        raise
-    except ZwformError:
-        return None, ()
-    return prefix, tuple(name for name, ok in row_identities(x, y, z, prefix).items() if not ok)
-
-
 def _roundtrip_chunk(bounds: SearchBounds) -> SearchReport:
     """Worker: enumerate one m chunk and round-trip every solution.
 
-    The row part of each decomposition is done once per row: _row_entry is
-    computed at the row's first solution and kept by row index. Per
-    solution, the identity and m, w != 0 are checked, decomposition.m_step
-    runs on the row's prefix (it checks the constraints and the regenerate
-    itself) and the m relations are audited. A solution of a row without a
-    prefix goes through decompose, which raises what is wrong with it. A
-    row relation that fails is a TRACE failure of every solution of its
-    row that decomposes. TooLarge is a refusal of the whole box, not one
-    solution's failure, so it propagates.
+    scan yields only theorem-grade solutions, so each goes straight to
+    decomposition.m_step, which checks the constraints and the regenerate
+    itself; the regenerate implies the identity. The row part is done once
+    per row: at the row's first solution, row_prefix and the names of the
+    row relations that fail are computed and kept by row index. A row that
+    row_prefix refuses keeps no entry, so each of its solutions records the
+    refusal as its own EXCEPTION failure. Per solution, the m relations are
+    audited, and a row relation that fails is a TRACE failure of every
+    solution of its row that decomposes. TooLarge is a refusal of the whole
+    box, not one solution's failure, so it propagates.
     """
     p = bounds.p
     rep = SearchReport()
@@ -227,15 +208,13 @@ def _roundtrip_chunk(bounds: SearchBounds) -> SearchReport:
         for i, w in sols:
             x, y, z, _, _ = rows[i]
             sol = Solution(p, x, y, z, m, w)
-            entry = entries[i]
-            if entry is None:
-                entry = entries[i] = _row_entry(p, x, y, z)
-            prefix, bad_row = entry
             try:
-                if prefix is not None and m and w and sol.identity_holds():
-                    tup, trace = m_step(sol, prefix)
-                else:
-                    tup, trace = decompose(sol)
+                if entries[i] is None:
+                    prefix = row_prefix(p, x, y, z)
+                    row_checks = row_identities(x, y, z, prefix)
+                    entries[i] = prefix, tuple(name for name, ok in row_checks.items() if not ok)
+                prefix, bad_row = entries[i]
+                tup, trace = m_step(sol, prefix)
             except DegenerateE:
                 rep.degenerate_e += 1
                 continue
@@ -308,7 +287,9 @@ def enumerate_solutions(bounds: SearchBounds) -> list[Solution]:
 def roundtrip_check(bounds: SearchBounds, jobs: int = 1) -> SearchReport:
     """Decompose every enumerated solution and verify the round trip.
 
-    Each decomposition is audited: decompose itself checks that the tuple
+    The solutions are scan's, all theorem grade, so each is decomposed by
+    decomposition.m_step on its row's row_prefix, computed once per row.
+    Each decomposition is audited: m_step itself checks that the tuple
     satisfies the coprimality constraints and regenerates the original, and
     every trace identity must hold exactly. Anything short of that is
     recorded in failures under its Failure category; e == 0 degeneracies

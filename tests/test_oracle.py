@@ -285,6 +285,13 @@ def _not_divisible(*args):
     raise NotDivisible("injected")
 
 
+def _line_coeffs_refused_where_a_positive_c_negative(
+        a, b, c, d, line_coeffs=decomposition.line_coeffs):
+    if a > 0 and c < 0:
+        raise NotDivisible("injected")
+    return line_coeffs(a, b, c, d)
+
+
 class TestFailureCategories:
     """Each round-trip failure class, injected, reaches exactly its acceptance gate."""
 
@@ -359,10 +366,12 @@ class TestRowCache:
         (decomposition, "row_identities", _line_false_where_x_positive),
         (decomposition, "m_identities", _one_false),
         (decomposition, "residual_e", _not_divisible),
-    ], ids=["row_relation", "m_relation", "exception"])
+        (decomposition, "line_coeffs", _line_coeffs_refused_where_a_positive_c_negative),
+    ], ids=["row_relation", "m_relation", "exception", "row_exception"])
     def test_injected_failures_match_reference(self, monkeypatch, target, name, fake):
         # The chunk calls the relations through oracle's names, the
-        # reference through trace_identities': patch both.
+        # reference through trace_identities': patch both. A row that
+        # row_prefix refuses is one EXCEPTION failure per solution of it.
         monkeypatch.setattr(target, name, fake)
         if hasattr(oracle, name):
             monkeypatch.setattr(oracle, name, fake)
