@@ -3,7 +3,7 @@
 Given a theorem-grade solution (all of x, y, z, m, w nonzero, x, y, z
 pairwise coprime, identity exact), the pipeline runs in two parts. The row
 part, steps 1 and 2, reads only the row (x, y, z); ``row_prefix`` runs it.
-The m part, steps 3 to 5, also reads m; ``m_step`` runs it on a prefix:
+The m part, steps 3 to 5, also reads m; ``m_fields`` runs it on a prefix:
 
     1. Bezout coefficients  a*x - b*z == 1  and  c*y - d*z == 1, a, c != 0.
     2. h = gcd(a, c) > 0, q = a/h, u = c/h, r = (d - b)/h. Dividing the
@@ -20,14 +20,16 @@ Every division is exact and every choice is canonical, so the procedure is
 deterministic and its full intermediate trace is kept for auditing. The one
 genuinely undefined path is e == 0 (equivalently u**p == m*q**p, which
 forces |q| == 1 and m to be a p-th power up to sign): g has no defining
-relation there, and m_step raises DegenerateE, the only place that does.
+relation there, and m_fields raises DegenerateE, the only place that does.
 
 Every solution of one row shares its prefix. The oracle's round trip, whose
 rows the scan has already found theorem grade, computes the prefix once per
-row and runs only the m step per solution; ``decompose`` is the
-theorem-grade check plus the same two calls on one solution.
-``trace_identities`` splits the same way, into ``row_identities`` and
-``m_identities``.
+row and runs only the m part per solution, on plain ints: ``m_fields`` and
+``m_relations`` take the fields (x, y, z, m, w) and build no Solution,
+ParameterTuple or trace. ``m_step`` and ``m_identities`` wrap the same two
+for the object API, and ``decompose`` is the theorem-grade check plus
+``m_step`` on one solution's ``row_prefix``. ``trace_identities`` splits the
+same way, into ``row_identities`` and ``m_identities``.
 """
 
 from __future__ import annotations
@@ -40,7 +42,9 @@ from .exact_arith import _check_powers, exact_div, extgcd
 from .errors import (
     ConstraintViolation, DegenerateE, NotCoprime, NotTheoremGrade, RegenerateMismatch,
 )
-from .parametrization import ParameterTuple, Solution, generate, theorem_grade_flags
+from .parametrization import (
+    ParameterTuple, Solution, closed_forms, gcd_constraints_hold, theorem_grade_flags,
+)
 
 
 class RowPrefix(NamedTuple):
@@ -159,35 +163,52 @@ def row_prefix(p: int, x: int, y: int, z: int) -> RowPrefix:
     return RowPrefix(a, b, c, d, h, u, q, r)
 
 
-def m_step(sol: Solution, prefix: RowPrefix) -> tuple[ParameterTuple, DecompositionTrace]:
-    """Steps 3 to 5 on sol, given its row's prefix, and the postconditions.
+def m_fields(p: int, fields: tuple, prefix: RowPrefix) -> tuple[int, int, int, int, int]:
+    """Steps 3 to 5 on one solution, given its row's prefix, and the postconditions.
 
-    sol must be theorem grade and prefix must be row_prefix of its row;
-    decompose checks the one and computes the other. Postconditions checked
-    before returning: q != 0, the three coprimality constraints gcd(e,q) ==
-    gcd(l,q) == gcd(n,r) == 1, and that generate(tuple) reproduces sol
-    field by field. A violation raises ConstraintViolation or
-    RegenerateMismatch and means a bug, not bad input. TooLarge is raised
-    before g and n are computed when the p-th power of e or f would pass
-    MAX_POWER_BITS.
+    fields is the solution's (x, y, z, m, w); it must be theorem grade, and
+    prefix must be row_prefix of its row. Returns (e, l, f, g, n).
+    Postconditions checked before returning: the three coprimality
+    constraints gcd(e,q) == gcd(l,q) == gcd(n,r) == 1 (gcd_constraints_hold),
+    and that closed_forms on the tuple reproduces fields. A violation raises
+    ConstraintViolation or RegenerateMismatch and means a bug, not bad
+    input. TooLarge is raised before g and n are computed when the p-th
+    power of e or f would pass MAX_POWER_BITS. The Solution and
+    ParameterTuple that the messages name are built only to raise.
     """
-    p = sol.p
-    a, b, c, d, h, u, q, r = prefix
-    e = residual_e(u, q, sol.m, sol.z, p)
+    x, y, z, m, w = fields
+    u, q, r = prefix.u, prefix.q, prefix.r
+    e = residual_e(u, q, m, z, p)
     if e == 0:
-        raise DegenerateE(f"u**p == m*q**p for {sol}: m = {sol.m} is a p-th power up to sign")
+        raise DegenerateE(f"u**p == m*q**p for {Solution(p, x, y, z, m, w)}: "
+                          f"m = {m} is a p-th power up to sign")
     l, f = split_u(u, e, q)
     # The residuals raise f to p and e to p - 2; refuse them before they do.
     _check_powers(p, e, f)
-    g = residual_g(f, sol.m, e, p)
-    n = residual_n(sol.y, e, l, r, q, p)
-    tup = ParameterTuple(p, e, f, g, l, q, n, r)
-    if not tup.satisfies_gcd_constraints():
-        raise ConstraintViolation(f"coprimality postcondition failed for {tup}")
-    regen = generate(tup)
-    if regen != sol:
-        raise RegenerateMismatch(f"generate({tup}) gave {regen}, expected {sol}")
-    return tup, DecompositionTrace(a, b, c, d, h, u, q, r, e, l, f, g, n)
+    g = residual_g(f, m, e, p)
+    n = residual_n(y, e, l, r, q, p)
+    if not gcd_constraints_hold(e, l, q, n, r):
+        raise ConstraintViolation(
+            f"coprimality postcondition failed for {ParameterTuple(p, e, f, g, l, q, n, r)}")
+    regen = closed_forms(p, e, f, g, l, q, n, r)
+    if regen != (x, y, z, m, w):
+        raise RegenerateMismatch(f"generate({ParameterTuple(p, e, f, g, l, q, n, r)}) gave "
+                                 f"{Solution(p, *regen)}, expected {Solution(p, x, y, z, m, w)}")
+    return e, l, f, g, n
+
+
+def m_step(sol: Solution, prefix: RowPrefix) -> tuple[ParameterTuple, DecompositionTrace]:
+    """m_fields on sol, with its result as (tuple, trace).
+
+    sol must be theorem grade and prefix must be row_prefix of its row;
+    decompose checks the one and computes the other. Raises what m_fields
+    raises.
+    """
+    p = sol.p
+    e, l, f, g, n = m_fields(p, (sol.x, sol.y, sol.z, sol.m, sol.w), prefix)
+    a, b, c, d, h, u, q, r = prefix
+    return (ParameterTuple(p, e, f, g, l, q, n, r),
+            DecompositionTrace(a, b, c, d, h, u, q, r, e, l, f, g, n))
 
 
 def decompose(sol: Solution) -> tuple[ParameterTuple, DecompositionTrace]:
@@ -226,16 +247,28 @@ def row_identities(x: int, y: int, z: int, t) -> dict[str, bool]:
     }
 
 
+def m_relations(p: int, fields: tuple, prefix, found: tuple) -> dict[str, bool]:
+    """Exact re-check of the relations of steps 3 to 5 on plain ints.
+
+    fields is the solution's (x, y, z, m, w), prefix a RowPrefix or a
+    DecompositionTrace of its row, and found the (e, l, f, g, n) of
+    m_fields.
+    """
+    _, y, z, m, _ = fields
+    e, l, f, g, n = found
+    u, q, r = prefix.u, prefix.q, prefix.r
+    return {
+        "residual_e": u ** p - m * q ** p == z * e,
+        "split_u": u == e * l + f * q,
+        "residual_g": f ** p - m == e * g,
+        "residual_n": y == n * q + e ** (p - 2) * l ** (p - 1) * r,
+    }
+
+
 def m_identities(sol: Solution, trace: DecompositionTrace) -> dict[str, bool]:
     """Exact re-check of the relations of steps 3 to 5 on one solution."""
-    t = trace
-    p = sol.p
-    return {
-        "residual_e": t.u ** p - sol.m * t.q ** p == sol.z * t.e,
-        "split_u": t.u == t.e * t.l + t.f * t.q,
-        "residual_g": t.f ** p - sol.m == t.e * t.g,
-        "residual_n": sol.y == t.n * t.q + t.e ** (p - 2) * t.l ** (p - 1) * t.r,
-    }
+    return m_relations(sol.p, (sol.x, sol.y, sol.z, sol.m, sol.w), trace,
+                       (trace.e, trace.l, trace.f, trace.g, trace.n))
 
 
 def trace_identities(sol: Solution, trace: DecompositionTrace) -> dict[str, bool]:

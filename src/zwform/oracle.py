@@ -24,7 +24,7 @@ from dataclasses import dataclass, field, fields, replace
 from functools import lru_cache
 from math import gcd
 
-from .decomposition import m_identities, m_step, row_identities, row_prefix
+from .decomposition import m_fields, m_relations, row_identities, row_prefix
 from .errors import (
     ConstraintViolation, DegenerateE, RegenerateMismatch, TooLarge, ZeroZ, ZwformError,
 )
@@ -190,15 +190,17 @@ def _roundtrip_chunk(bounds: SearchBounds) -> SearchReport:
     """Worker: enumerate one m chunk and round-trip every solution.
 
     scan yields only theorem-grade solutions, so each goes straight to
-    decomposition.m_step, which checks the constraints and the regenerate
+    decomposition.m_fields, which checks the constraints and the regenerate
     itself; the regenerate implies the identity. The row part is done once
     per row: at the row's first solution, row_prefix and the names of the
     row relations that fail are computed and kept by row index. A row that
     row_prefix refuses keeps no entry, so each of its solutions records the
-    refusal as its own EXCEPTION failure. Per solution, the m relations are
-    audited, and a row relation that fails is a TRACE failure of every
-    solution of its row that decomposes. TooLarge is a refusal of the whole
-    box, not one solution's failure, so it propagates.
+    refusal as its own EXCEPTION failure. Per solution, m_relations audits
+    the m relations, and a row relation that fails is a TRACE failure of
+    every solution of its row that decomposes. All of this runs on the
+    fields (x, y, z, m, w) as plain ints; a Solution is built only as the
+    subject of a failures entry. TooLarge is a refusal of the whole box,
+    not one solution's failure, so it propagates.
     """
     p = bounds.p
     rep = SearchReport()
@@ -207,32 +209,33 @@ def _roundtrip_chunk(bounds: SearchBounds) -> SearchReport:
     for m, sols in batches:
         for i, w in sols:
             x, y, z, _, _ = rows[i]
-            sol = Solution(p, x, y, z, m, w)
+            fields = x, y, z, m, w
             try:
                 if entries[i] is None:
                     prefix = row_prefix(p, x, y, z)
                     row_checks = row_identities(x, y, z, prefix)
                     entries[i] = prefix, tuple(name for name, ok in row_checks.items() if not ok)
                 prefix, bad_row = entries[i]
-                tup, trace = m_step(sol, prefix)
+                found = m_fields(p, fields, prefix)
             except DegenerateE:
                 rep.degenerate_e += 1
                 continue
             except ConstraintViolation as exc:
-                rep.failures.append((sol, Failure.CONSTRAINT, str(exc)))
+                rep.failures.append((Solution(p, *fields), Failure.CONSTRAINT, str(exc)))
                 continue
             except RegenerateMismatch as exc:
-                rep.failures.append((sol, Failure.REGENERATE, str(exc)))
+                rep.failures.append((Solution(p, *fields), Failure.REGENERATE, str(exc)))
                 continue
             except TooLarge:
                 raise
             except ZwformError as exc:
-                rep.failures.append((sol, Failure.EXCEPTION, f"{type(exc).__name__}: {exc}"))
+                rep.failures.append(
+                    (Solution(p, *fields), Failure.EXCEPTION, f"{type(exc).__name__}: {exc}"))
                 continue
-            checks = m_identities(sol, trace)
+            checks = m_relations(p, fields, prefix, found)
             if bad_row or not all(checks.values()):
                 bad = bad_row + tuple(name for name, ok in checks.items() if not ok)
-                rep.failures.append((sol, Failure.TRACE, ",".join(bad)))
+                rep.failures.append((Solution(p, *fields), Failure.TRACE, ",".join(bad)))
             else:
                 rep.decompose_success += 1
     return rep
@@ -288,12 +291,15 @@ def roundtrip_check(bounds: SearchBounds, jobs: int = 1) -> SearchReport:
     """Decompose every enumerated solution and verify the round trip.
 
     The solutions are scan's, all theorem grade, so each is decomposed by
-    decomposition.m_step on its row's row_prefix, computed once per row.
-    Each decomposition is audited: m_step itself checks that the tuple
-    satisfies the coprimality constraints and regenerates the original, and
-    every trace identity must hold exactly. Anything short of that is
-    recorded in failures under its Failure category; e == 0 degeneracies
-    are counted separately.
+    decomposition.m_fields on its row's row_prefix, computed once per row.
+    Each decomposition is audited: m_fields itself checks that the tuple
+    satisfies the coprimality constraints and regenerates the original
+    through closed_forms, and every trace identity (row_identities once per
+    row, m_relations per solution) must hold exactly. The work runs on plain
+    ints, with no per-solution Solution, ParameterTuple or trace. Anything
+    short of that is recorded in failures under its Failure category, with
+    the Solution as its subject; e == 0 degeneracies are counted
+    separately.
     """
     report = SearchReport()
     for piece in _run_chunks(_roundtrip_chunk, bounds, jobs):

@@ -17,10 +17,10 @@ with the convention 0**0 == 1 throughout, which Python's ** follows. When
 gcd(e, q) == gcd(l, q) == 1 the division defining w is exact, because z is
 then coprime to q.
 
-``generate`` evaluates the telescoped equivalents of the three sums. The z
-sum is the binomial expansion of u**p with its k == p term removed, divided
-by e; the line relation q*x == u*y - z*r gives x, and the defining identity
-gives w:
+``closed_forms`` evaluates the telescoped equivalents of the three sums on
+plain ints, and ``generate`` wraps it for a ParameterTuple. The z sum is the
+binomial expansion of u**p with its k == p term removed, divided by e; the
+line relation q*x == u*y - z*r gives x, and the defining identity gives w:
 
     z = (u**p - (f*q)**p) / e + g*q**p      (p*l*(f*q)**(p-1) + g*q**p at e == 0)
     x = (u*y - z*r) / q
@@ -72,11 +72,12 @@ class ParameterTuple:
 
     def satisfies_gcd_constraints(self) -> bool:
         """True when gcd(e,q) == gcd(l,q) == gcd(n,r) == 1."""
-        return (
-            gcd(self.e, self.q) == 1
-            and gcd(self.l, self.q) == 1
-            and gcd(self.n, self.r) == 1
-        )
+        return gcd_constraints_hold(self.e, self.l, self.q, self.n, self.r)
+
+
+def gcd_constraints_hold(e: int, l: int, q: int, n: int, r: int) -> bool:
+    """True when gcd(e,q) == gcd(l,q) == gcd(n,r) == 1."""
+    return gcd(e, q) == 1 and gcd(l, q) == 1 and gcd(n, r) == 1
 
 
 @dataclass
@@ -169,40 +170,52 @@ def eval_w(t: ParameterTuple, z: int, y: int) -> int:
     return exact_div(acc, q ** p)
 
 
-def _exact(num: int, den: int, t: ParameterTuple) -> int:
+def _exact(num: int, den: int, t: tuple) -> int:
     quot, rem = divmod(num, den)
     if rem:
-        raise IdentityViolation(f"inexact closed-form division in generate({t})")
+        raise IdentityViolation(f"inexact closed-form division in generate({ParameterTuple(*t)})")
     return quot
 
 
-def generate(t: ParameterTuple) -> Solution:
-    """Evaluate the telescoped closed forms and return the resulting Solution.
+def closed_forms(p: int, e: int, f: int, g: int, l: int, q: int, n: int,
+                 r: int) -> tuple[int, int, int, int, int]:
+    """The telescoped closed forms on plain ints: (x, y, z, m, w).
 
-    Requires gcd(e, q) == gcd(l, q) == 1 and a nonzero z. The three
-    divisions are exact by the algebra above; a remainder there is a bug,
-    not an input problem, and raises IdentityViolation. Agrees field by
-    field with generate_reference wherever either is defined.
+    The arithmetic of generate, for a prime p and q != 0, with its checks in
+    the same order and its messages, which name the ParameterTuple; that
+    object is built only to raise.
     """
-    if gcd(t.e, t.q) != 1:
-        raise NotCoprime(f"gcd(e, q) = gcd({t.e}, {t.q}) != 1")
-    if gcd(t.l, t.q) != 1:
-        raise NotCoprime(f"gcd(l, q) = gcd({t.l}, {t.q}) != 1")
-    p, e, l, q, r = t.p, t.e, t.l, t.q, t.r
-    fq = t.f * q
+    if gcd(e, q) != 1:
+        raise NotCoprime(f"gcd(e, q) = gcd({e}, {q}) != 1")
+    if gcd(l, q) != 1:
+        raise NotCoprime(f"gcd(l, q) = gcd({l}, {q}) != 1")
+    t = p, e, f, g, l, q, n, r
+    fq = f * q
     u = e * l + fq
     if e:
         z = _exact(u ** p - fq ** p, e, t)
     else:
         z = p * l * fq ** (p - 1)
-    z += t.g * q ** p
+    z += g * q ** p
     if z == 0:
-        raise ZeroZ(f"z evaluates to 0 for {t}")
-    y = eval_y(t)
-    m = eval_m(t)
+        raise ZeroZ(f"z evaluates to 0 for {ParameterTuple(*t)}")
+    y = n * q + e ** (p - 2) * l ** (p - 1) * r
+    m = f ** p - e * g
     x = _exact(u * y - z * r, q, t)
     w = _exact(x ** p - m * y ** p, z, t)
-    return Solution(p, x, y, z, m, w)
+    return x, y, z, m, w
+
+
+def generate(t: ParameterTuple) -> Solution:
+    """Evaluate the telescoped closed forms and return the resulting Solution.
+
+    Requires gcd(e, q) == gcd(l, q) == 1 (NotCoprime otherwise) and a nonzero
+    z (ZeroZ otherwise). The three divisions are exact by the algebra above;
+    a remainder there is a bug, not an input problem, and raises
+    IdentityViolation. The arithmetic is closed_forms'. Agrees field by
+    field with generate_reference wherever either is defined.
+    """
+    return Solution(t.p, *closed_forms(t.p, t.e, t.f, t.g, t.l, t.q, t.n, t.r))
 
 
 def generate_reference(t: ParameterTuple) -> Solution:

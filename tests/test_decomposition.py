@@ -96,7 +96,7 @@ class TestResiduals:
     def test_residual_g(self):
         assert residual_g(2, 4, -3, 2) == 0
         assert residual_g(-1, 2, 1, 3) == -3
-        # m_step raises DegenerateE before it would divide by e == 0.
+        # m_fields raises DegenerateE before it would divide by e == 0.
         with pytest.raises(ZeroDivisionError):
             residual_g(1, 1, 0, 2)
 

@@ -12,7 +12,7 @@ from test_acceptance import A3_FAILURES, A4_FAILURES, A5_FAILURES, select_failur
 from test_cli import search_report
 from zwform import decomposition, oracle
 from zwform.cli import _emit, _solution_record, run
-from zwform.decomposition import decompose, m_step, row_prefix, trace_identities
+from zwform.decomposition import decompose, m_fields, m_step, row_prefix, trace_identities
 from zwform.errors import (
     ConstraintViolation, DegenerateE, IdentityViolation, NotDivisible, RegenerateMismatch, TooLarge,
     ZeroZ, ZwformError,
@@ -273,8 +273,13 @@ def _shift_w(t):
     return dataclasses.replace(sol, w=sol.w + 1)
 
 
-def _one_false(sol, trace, m_identities=decomposition.m_identities):
-    return {**m_identities(sol, trace), "residual_n": False}
+def _closed_forms_shift_w(*t, closed_forms=decomposition.closed_forms):
+    x, y, z, m, w = closed_forms(*t)
+    return x, y, z, m, w + 1
+
+
+def _one_false(p, fields, prefix, found, m_relations=decomposition.m_relations):
+    return {**m_relations(p, fields, prefix, found), "residual_n": False}
 
 
 def _line_false_where_x_positive(x, y, z, t, row_identities=decomposition.row_identities):
@@ -303,13 +308,15 @@ class TestFailureCategories:
         return {gate for gate, categories in self.GATES.items()
                 if select_failures([report], categories)}
 
-    @pytest.mark.parametrize("category, target, name, fake", [
-        (Failure.CONSTRAINT, decomposition.ParameterTuple, "satisfies_gcd_constraints",
-         lambda self: False),
-        (Failure.REGENERATE, decomposition, "generate", _shift_w),
-        (Failure.TRACE, oracle, "m_identities", _one_false),
+    INJECTIONS = [
+        (Failure.CONSTRAINT, decomposition, "gcd_constraints_hold", lambda *args: False),
+        (Failure.REGENERATE, decomposition, "closed_forms", _closed_forms_shift_w),
+        (Failure.TRACE, oracle, "m_relations", _one_false),
         (Failure.EXCEPTION, decomposition, "residual_e", _not_divisible),
-    ], ids=["constraint", "regenerate", "trace", "exception"])
+    ]
+    INJECTION_IDS = ["constraint", "regenerate", "trace", "exception"]
+
+    @pytest.mark.parametrize("category, target, name, fake", INJECTIONS, ids=INJECTION_IDS)
     def test_injected_failure_reaches_its_gate(self, monkeypatch, category, target, name, fake):
         monkeypatch.setattr(target, name, fake)
         report = roundtrip_check(self.BOUNDS)
@@ -364,7 +371,7 @@ class TestRowCache:
 
     @pytest.mark.parametrize("target, name, fake", [
         (decomposition, "row_identities", _line_false_where_x_positive),
-        (decomposition, "m_identities", _one_false),
+        (decomposition, "m_relations", _one_false),
         (decomposition, "residual_e", _not_divisible),
         (decomposition, "line_coeffs", _line_coeffs_refused_where_a_positive_c_negative),
     ], ids=["row_relation", "m_relation", "exception", "row_exception"])
@@ -394,19 +401,55 @@ class TestRowCache:
             row = (sol.x, sol.y, sol.z)
             if row not in prefixes:
                 prefixes[row] = row_prefix(sol.p, *row)
+            fields = (sol.x, sol.y, sol.z, sol.m, sol.w)
             try:
                 reused = m_step(sol, prefixes[row])
+                found = m_fields(sol.p, fields, prefixes[row])
             except DegenerateE:
-                reused = DegenerateE
+                reused = found = DegenerateE
             try:
                 direct = decompose(sol)
             except DegenerateE:
                 direct = DegenerateE
             assert reused == direct, sol
+            if direct is not DegenerateE:
+                tup = direct[0]
+                assert found == (tup.e, tup.l, tup.f, tup.g, tup.n), sol
             outcomes.append(direct)
         assert DegenerateE in outcomes
         assert len(outcomes) > len(prefixes)
         assert sum(abs(prefix.q) > 1 for prefix in prefixes.values()) >= wide_q_rows
+
+
+class TestSolutionObjects:
+    """roundtrip_check builds a Solution only as the subject of a failures entry."""
+
+    def count_solutions(self, monkeypatch):
+        calls = []
+
+        def counted(*fields):
+            calls.append(fields)
+            return Solution(*fields)
+
+        monkeypatch.setattr(oracle, "Solution", counted)
+        return calls
+
+    def test_none_on_a_clean_box(self, monkeypatch):
+        calls = self.count_solutions(monkeypatch)
+        report = roundtrip_check(SearchBounds(3, 6, -6, 6))
+        assert report.failures == []
+        assert report.decompose_success > 0 and report.degenerate_e > 0
+        assert calls == []
+
+    @pytest.mark.parametrize("category, target, name, fake", TestFailureCategories.INJECTIONS,
+                             ids=TestFailureCategories.INJECTION_IDS)
+    def test_one_per_failure(self, monkeypatch, category, target, name, fake):
+        monkeypatch.setattr(target, name, fake)
+        calls = self.count_solutions(monkeypatch)
+        report = roundtrip_check(TestFailureCategories.BOUNDS)
+        assert {kind for _, kind, _ in report.failures} == {category}
+        assert len(calls) == len(report.failures)
+        assert [Solution(*fields) for fields in calls] == [sol for sol, _, _ in report.failures]
 
 
 class SplitMix64:

@@ -1,17 +1,20 @@
 """Closed forms: frozen examples, cross-checks, and algebraic properties."""
 
+import collections
+import dataclasses
 import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from zwform.decomposition import decompose
-from zwform.errors import DegenerateE, NotCoprime, WrongExponent, ZeroZ
+from zwform.errors import DegenerateE, NotCoprime, WrongExponent, ZeroZ, ZwformError
 from zwform.oracle import SearchBounds, enumerate_solutions, sample_tuples
 from zwform.parametrization import (
     ParameterTuple,
     Solution,
     brahmagupta_compose,
+    closed_forms,
     dickson_p2,
     eval_m,
     eval_y,
@@ -86,6 +89,35 @@ class TestGenerateFrozen:
     def test_common_factor_l_q_raises(self):
         with pytest.raises(NotCoprime):
             generate(ParameterTuple(2, 1, 1, 1, 2, 2, 1, 1))
+
+
+def outcome(call, *args):
+    """call's result, or the type and message of the ZwformError it raises."""
+    try:
+        return call(*args)
+    except ZwformError as exc:
+        return type(exc), str(exc)
+
+
+class TestClosedForms:
+    """The int-level closed_forms against generate, its ParameterTuple wrapper."""
+
+    def test_agrees_with_generate(self):
+        seen = collections.Counter()
+        for p in PRIMES:
+            for t in sample_tuples(p, 2, 400, seed=p):
+                # Scaling e or l by q breaks a coprimality constraint when |q| > 1.
+                for u in (t, dataclasses.replace(t, e=t.e * t.q),
+                          dataclasses.replace(t, l=t.l * t.q)):
+                    got = outcome(closed_forms, u.p, u.e, u.f, u.g, u.l, u.q, u.n, u.r)
+                    want = outcome(generate, u)
+                    if isinstance(want, Solution):
+                        assert Solution(u.p, *got) == want, u
+                        seen[Solution] += 1
+                    else:
+                        assert got == want, u
+                        seen[want[0]] += 1
+        assert seen[Solution] > 1000 and seen[ZeroZ] > 100 and seen[NotCoprime] > 100
 
 
 def assert_matches_reference(t):
