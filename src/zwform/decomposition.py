@@ -2,8 +2,9 @@
 
 Given a theorem-grade solution (all of x, y, z, m, w nonzero, x, y, z
 pairwise coprime, identity exact), the pipeline runs in two parts. The row
-part, steps 1 and 2, reads only the row (x, y, z); ``row_prefix`` runs it.
-The m part, steps 3 to 5, also reads m; ``m_fields`` runs it on a prefix:
+part, steps 1 and 2 and the row constants, reads only the row (x, y, z);
+``row_prefix`` runs it. The m part, steps 3 to 5, also reads m;
+``m_fields`` runs it on a prefix:
 
     1. Bezout coefficients  a*x - b*z == 1  and  c*y - d*z == 1, a, c != 0.
     2. h = gcd(a, c) > 0, q = a/h, u = c/h, r = (d - b)/h. Dividing the
@@ -13,6 +14,9 @@ The m part, steps 3 to 5, also reads m; ``m_fields`` runs it on a prefix:
        raising the line relation to the p-th power shows z divides
        y**p * (u**p - m*q**p) and gcd(y, z) == 1).
     4. Split u = e*l + f*q with the canonical representative 0 <= l < |q|.
+       l comes from the row: e*z == u**p (mod q) and gcd(u, q) == 1, so
+       l == u/e == z * u**(1-p) (mod |q|) for every m, and l = 0 at
+       |q| == 1. Then f = (u - e*l) / q is exact.
     5. Residual g = (f**p - m) / e (exact for the same style of reason),
        then n = (y - e**(p-2) * l**(p-1) * r) / q.
 
@@ -22,14 +26,17 @@ genuinely undefined path is e == 0 (equivalently u**p == m*q**p, which
 forces |q| == 1 and m to be a p-th power up to sign): g has no defining
 relation there, and m_fields raises DegenerateE, the only place that does.
 
-Every solution of one row shares its prefix. The oracle's round trip, whose
-rows the scan has already found theorem grade, computes the prefix once per
-row and runs only the m part per solution, on plain ints: ``m_fields`` and
-``m_relations`` take the fields (x, y, z, m, w) and build no Solution,
-ParameterTuple or trace. ``m_step`` and ``m_identities`` wrap the same two
-for the object API, and ``decompose`` is the theorem-grade check plus
-``m_step`` on one solution's ``row_prefix``. ``trace_identities`` splits the
-same way, into ``row_identities`` and ``m_identities``.
+Every solution of one row shares its prefix, which also holds the row
+constants u**p, q**p and l**(p-1)*r that steps 3 to 5 read. The oracle's
+round trip, whose rows the scan has already found theorem grade, computes
+the prefix once per row and runs only the m part per solution, on plain
+ints: ``m_fields`` and ``m_relations`` take the fields (x, y, z, m, w) and
+build no Solution, ParameterTuple or trace. ``decompose`` is the
+theorem-grade check plus ``m_fields`` on one solution's ``row_prefix``,
+and ``trace_identities`` audits its trace with ``row_identities`` and
+``m_relations``. The stage functions ``residual_e``, ``split_u`` and
+``residual_n`` compute steps 3 to 5 from u, q, l and r directly; the tests
+rebuild every tuple of a box from them and compare it with decompose.
 """
 
 from __future__ import annotations
@@ -38,9 +45,10 @@ from dataclasses import dataclass
 from math import gcd
 from typing import NamedTuple
 
-from .exact_arith import _check_powers, exact_div, extgcd
+from .exact_arith import MAX_POWER_BITS, _check_powers, exact_div, extgcd
 from .errors import (
-    ConstraintViolation, DegenerateE, NotCoprime, NotTheoremGrade, RegenerateMismatch,
+    ConstraintViolation, DegenerateE, NotCoprime, NotDivisible, NotTheoremGrade,
+    RegenerateMismatch,
 )
 from .parametrization import (
     ParameterTuple, Solution, closed_forms, gcd_constraints_hold, theorem_grade_flags,
@@ -48,7 +56,11 @@ from .parametrization import (
 
 
 class RowPrefix(NamedTuple):
-    """The intermediates of steps 1 and 2, which depend on (x, y, z) alone."""
+    """The intermediates of steps 1 and 2 and the row constants of steps 3 to 5.
+
+    All depend on (x, y, z) and p alone: l is step 4's canonical split
+    coefficient, and up, qp and lr are u**p, q**p and l**(p-1)*r.
+    """
 
     a: int
     b: int
@@ -58,6 +70,10 @@ class RowPrefix(NamedTuple):
     u: int
     q: int
     r: int
+    l: int
+    up: int
+    qp: int
+    lr: int
 
 
 @dataclass
@@ -149,44 +165,59 @@ def residual_n(y: int, e: int, l: int, r: int, q: int, p: int) -> int:
 
 
 def row_prefix(p: int, x: int, y: int, z: int) -> RowPrefix:
-    """Steps 1 and 2 on one row: both Bezout pairs and the line coefficients.
+    """The row part on one row: both Bezout pairs, the line coefficients and
+    the row constants l, u**p, q**p and l**(p-1)*r.
 
     Requires x, y, z pairwise coprime (bezout_nonzero raises NotCoprime
-    otherwise). TooLarge is raised when the p-th power that residual_e takes
-    of u or q would pass MAX_POWER_BITS, before any m step takes it.
+    otherwise). TooLarge is raised when the p-th power of u or q would pass
+    MAX_POWER_BITS, before either is taken. l = z * u**(1-p) mod |q|, or 0
+    at |q| == 1, is split_u's l for every m of the row.
     """
     a, b = bezout_nonzero(x, z)
     c, d = bezout_nonzero(y, z)
     h, q, u, r = line_coeffs(a, b, c, d)
-    # residual_e raises u and q to p; refuse them before it does.
+    # The row constants raise u and q to p; refuse them before they do.
     _check_powers(p, u, q)
-    return RowPrefix(a, b, c, d, h, u, q, r)
+    mod = abs(q)
+    l = z * pow(u, 1 - p, mod) % mod if mod > 1 else 0
+    return RowPrefix(a, b, c, d, h, u, q, r, l, u ** p, q ** p, l ** (p - 1) * r)
 
 
 def m_fields(p: int, fields: tuple, prefix: RowPrefix) -> tuple[int, int, int, int, int]:
     """Steps 3 to 5 on one solution, given its row's prefix, and the postconditions.
 
     fields is the solution's (x, y, z, m, w); it must be theorem grade, and
-    prefix must be row_prefix of its row. Returns (e, l, f, g, n).
-    Postconditions checked before returning: the three coprimality
-    constraints gcd(e,q) == gcd(l,q) == gcd(n,r) == 1 (gcd_constraints_hold),
-    and that closed_forms on the tuple reproduces fields. A violation raises
-    ConstraintViolation or RegenerateMismatch and means a bug, not bad
-    input. TooLarge is raised before g and n are computed when the p-th
-    power of e or f would pass MAX_POWER_BITS. The Solution and
-    ParameterTuple that the messages name are built only to raise.
+    prefix must be row_prefix of its row. Returns (e, l, f, g, n), with l
+    the prefix's. Postconditions checked before returning: the three
+    coprimality constraints gcd(e,q) == gcd(l,q) == gcd(n,r) == 1
+    (gcd_constraints_hold), and that closed_forms on the tuple reproduces
+    fields. A violation raises ConstraintViolation or RegenerateMismatch and
+    means a bug, not bad input. TooLarge is raised before g and n are
+    computed when the p-th power of e or f would pass MAX_POWER_BITS. The
+    Solution and ParameterTuple that the messages name are built only to
+    raise.
     """
     x, y, z, m, w = fields
-    u, q, r = prefix.u, prefix.q, prefix.r
-    e = residual_e(u, q, m, z, p)
+    _, _, _, _, _, u, q, r, l, up, qp, lr = prefix
+    # Each division is exact_div's, inline: a remainder raises NotDivisible.
+    e, rem = divmod(up - m * qp, z)
+    if rem:
+        raise NotDivisible(f"{z} does not divide {up - m * qp}")
     if e == 0:
         raise DegenerateE(f"u**p == m*q**p for {Solution(p, x, y, z, m, w)}: "
                           f"m = {m} is a p-th power up to sign")
-    l, f = split_u(u, e, q)
-    # The residuals raise f to p and e to p - 2; refuse them before they do.
-    _check_powers(p, e, f)
-    g = residual_g(f, m, e, p)
-    n = residual_n(y, e, l, r, q, p)
+    f, rem = divmod(u - e * l, q)
+    if rem:
+        raise NotDivisible(f"{q} does not divide {u - e * l}")
+    # g and n raise f to p and e to p - 2: _check_powers' test, inline, refuses them first.
+    if p * ((abs(e) | abs(f)).bit_length() - 1) > MAX_POWER_BITS:
+        _check_powers(p, e, f)
+    g, rem = divmod(f ** p - m, e)
+    if rem:
+        raise NotDivisible(f"{e} does not divide {f ** p - m}")
+    n, rem = divmod(y - e ** (p - 2) * lr, q)
+    if rem:
+        raise NotDivisible(f"{q} does not divide {y - e ** (p - 2) * lr}")
     if not gcd_constraints_hold(e, l, q, n, r):
         raise ConstraintViolation(
             f"coprimality postcondition failed for {ParameterTuple(p, e, f, g, l, q, n, r)}")
@@ -197,25 +228,11 @@ def m_fields(p: int, fields: tuple, prefix: RowPrefix) -> tuple[int, int, int, i
     return e, l, f, g, n
 
 
-def m_step(sol: Solution, prefix: RowPrefix) -> tuple[ParameterTuple, DecompositionTrace]:
-    """m_fields on sol, with its result as (tuple, trace).
-
-    sol must be theorem grade and prefix must be row_prefix of its row;
-    decompose checks the one and computes the other. Raises what m_fields
-    raises.
-    """
-    p = sol.p
-    e, l, f, g, n = m_fields(p, (sol.x, sol.y, sol.z, sol.m, sol.w), prefix)
-    a, b, c, d, h, u, q, r = prefix
-    return (ParameterTuple(p, e, f, g, l, q, n, r),
-            DecompositionTrace(a, b, c, d, h, u, q, r, e, l, f, g, n))
-
-
 def decompose(sol: Solution) -> tuple[ParameterTuple, DecompositionTrace]:
     """Run the full pipeline and return (tuple, trace).
 
     Refuses a solution that is not theorem grade with NotTheoremGrade, naming
-    the first hypothesis it fails, then runs m_step on row_prefix of its
+    the first hypothesis it fails, then runs m_fields on row_prefix of its
     row; see those two for the postconditions and the TooLarge refusals.
     """
     flags = theorem_grade_flags(sol)
@@ -225,58 +242,70 @@ def decompose(sol: Solution) -> tuple[ParameterTuple, DecompositionTrace]:
         raise NotTheoremGrade(f"x, y, z must be pairwise coprime, got {sol}")
     if not flags["identity"]:
         raise NotTheoremGrade(f"x**p - m*y**p != z*w for {sol}")
-    return m_step(sol, row_prefix(sol.p, sol.x, sol.y, sol.z))
+    p = sol.p
+    prefix = row_prefix(p, sol.x, sol.y, sol.z)
+    e, l, f, g, n = m_fields(p, (sol.x, sol.y, sol.z, sol.m, sol.w), prefix)
+    a, b, c, d, h, u, q, r = prefix[:8]
+    return (ParameterTuple(p, e, f, g, l, q, n, r),
+            DecompositionTrace(a, b, c, d, h, u, q, r, e, l, f, g, n))
 
 
-def row_identities(x: int, y: int, z: int, t) -> dict[str, bool]:
-    """Exact re-check of the relations of steps 1 and 2 on one row.
+def row_identities(p: int, x: int, y: int, z: int, prefix: RowPrefix) -> dict[str, bool]:
+    """Exact re-check of the row part's relations on one row.
 
-    t is a RowPrefix or a DecompositionTrace of the row (x, y, z).
+    prefix is a RowPrefix of the row (x, y, z) at exponent p. The first four
+    relations are steps 1 and 2; "powers" checks the row constants against
+    u, q, l and r.
     """
+    a, b, c, d, h, u, q, r, l, up, qp, lr = prefix
     return {
-        "bezout_x": t.a * x - t.b * z == 1 and t.a != 0,
-        "bezout_y": t.c * y - t.d * z == 1 and t.c != 0,
-        "gcd_split": (
-            t.h == gcd(t.a, t.c)
-            and t.h > 0
-            and t.a == t.q * t.h
-            and t.c == t.u * t.h
-            and t.d - t.b == t.r * t.h
-        ),
-        "line": t.q * x == -z * t.r + t.u * y,
+        "bezout_x": a * x - b * z == 1 and a != 0,
+        "bezout_y": c * y - d * z == 1 and c != 0,
+        "gcd_split": h == gcd(a, c) and h > 0 and a == q * h and c == u * h and d - b == r * h,
+        "line": q * x == -z * r + u * y,
+        "powers": up == u ** p and qp == q ** p and lr == l ** (p - 1) * r,
     }
 
 
-def m_relations(p: int, fields: tuple, prefix, found: tuple) -> dict[str, bool]:
+# The relations of steps 3 to 5, in the order trace_identities lists them.
+M_RELATIONS = ("residual_e", "split_u", "residual_g", "residual_n")
+
+
+def m_relations(p: int, fields: tuple, prefix: RowPrefix, found: tuple) -> tuple[str, ...]:
     """Exact re-check of the relations of steps 3 to 5 on plain ints.
 
-    fields is the solution's (x, y, z, m, w), prefix a RowPrefix or a
-    DecompositionTrace of its row, and found the (e, l, f, g, n) of
-    m_fields.
+    fields is the solution's (x, y, z, m, w), prefix the RowPrefix of its
+    row and found the (e, l, f, g, n) of m_fields. Returns the names of the
+    relations that fail, in M_RELATIONS order: empty when all hold. The
+    relations read the row constants, which row_identities' "powers" checks
+    once per row.
     """
     _, y, z, m, _ = fields
     e, l, f, g, n = found
-    u, q, r = prefix.u, prefix.q, prefix.r
-    return {
-        "residual_e": u ** p - m * q ** p == z * e,
-        "split_u": u == e * l + f * q,
-        "residual_g": f ** p - m == e * g,
-        "residual_n": y == n * q + e ** (p - 2) * l ** (p - 1) * r,
-    }
-
-
-def m_identities(sol: Solution, trace: DecompositionTrace) -> dict[str, bool]:
-    """Exact re-check of the relations of steps 3 to 5 on one solution."""
-    return m_relations(sol.p, (sol.x, sol.y, sol.z, sol.m, sol.w), trace,
-                       (trace.e, trace.l, trace.f, trace.g, trace.n))
+    _, _, _, _, _, u, q, _, _, up, qp, lr = prefix
+    holds = (up - m * qp == z * e, u == e * l + f * q, f ** p - m == e * g,
+             y == n * q + e ** (p - 2) * lr)
+    if all(holds):
+        return ()
+    return tuple(name for name, ok in zip(M_RELATIONS, holds) if not ok)
 
 
 def trace_identities(sol: Solution, trace: DecompositionTrace) -> dict[str, bool]:
     """Exact re-check of every relation the pipeline relies on.
 
-    Keyed by relation name: the four of row_identities, then the four of
-    m_identities. All values are True for any trace produced by a
-    successful decompose. Kept separate from decompose so tests and batch
-    audits can verify traces without trusting the pipeline's own checks.
+    Keyed by relation name: the four relations of steps 1 and 2 from
+    row_identities, then the four of m_relations. All values are True for
+    any trace produced by a successful decompose. The trace holds no row
+    constants: they are derived from it here, so row_identities' "powers"
+    holds by construction and is left out. Kept separate from decompose so
+    tests and batch audits can verify traces without trusting the
+    pipeline's own checks.
     """
-    return {**row_identities(sol.x, sol.y, sol.z, trace), **m_identities(sol, trace)}
+    p, t = sol.p, trace
+    prefix = RowPrefix(t.a, t.b, t.c, t.d, t.h, t.u, t.q, t.r, t.l,
+                       t.u ** p, t.q ** p, t.l ** (p - 1) * t.r)
+    row = row_identities(p, sol.x, sol.y, sol.z, prefix)
+    del row["powers"]
+    bad = m_relations(p, (sol.x, sol.y, sol.z, sol.m, sol.w), prefix,
+                      (t.e, t.l, t.f, t.g, t.n))
+    return {**row, **{name: name not in bad for name in M_RELATIONS}}

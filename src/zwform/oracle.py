@@ -9,11 +9,13 @@ every instance directly) is kept as the reference it is gated against,
 batch round-trip checking, seeded tuple sampling, and a fuzz of generate
 against its paper-literal reference, all producing mergeable reports.
 
-Determinism contract: enumeration output is sorted by (m, x, y, z); report
-counters are plain sums. _run_chunks partitions a box over worker processes
-by contiguous m chunks and yields their results in range order, so a pooled
-run serializes to the same bytes as a serial one. The process pool is
-imported on first use, so only a run with more than one chunk loads it.
+Determinism contract: enumeration output and a round trip's failures are
+sorted by (m, x, y, z), although the round trip walks the box row by row;
+report counters are plain sums. _run_chunks partitions a box over worker
+processes by contiguous m chunks and yields their results in range order,
+so a pooled run serializes to the same bytes as a serial one. The process
+pool is imported on first use, so only a run with more than one chunk
+loads it.
 """
 
 from __future__ import annotations
@@ -25,9 +27,7 @@ from functools import lru_cache
 from math import gcd
 
 from .decomposition import m_fields, m_relations, row_identities, row_prefix
-from .errors import (
-    ConstraintViolation, DegenerateE, RegenerateMismatch, TooLarge, ZeroZ, ZwformError,
-)
+from .errors import ConstraintViolation, RegenerateMismatch, TooLarge, ZeroZ, ZwformError
 from .exact_arith import is_prime
 from .parametrization import ParameterTuple, Solution, generate, generate_reference
 
@@ -118,8 +118,10 @@ def _triples(bound: int, p: int) -> tuple[list, list]:
     lexicographic in (x, y, z). For such a row z divides x**p - m*y**p
     exactly when m == x**p * (y**p)**-1 mod |z|, so classes[k][r] lists,
     ascending, the indices of the rows with |z| == k whose admissible m are
-    m == r mod k (classes[0] is empty). One scan call covers a whole m
-    chunk, so the cache serves repeated scans of one box within a process
+    m == r mod k (classes[0] is empty). The table is walked in two orders:
+    m by m (scan's batches) and row by row, each row over its own m
+    progression (_roundtrip_chunk). One scan or round trip covers a whole m
+    chunk, so the cache serves repeated walks of one box within a process
     (the benchmark clears it between commands). Treat as read-only.
     """
     vals = [v for v in range(-bound, bound + 1) if v != 0]
@@ -149,7 +151,10 @@ def _triples(bound: int, p: int) -> tuple[list, list]:
 def scan(bounds: SearchBounds, stats):
     """Return (rows, batches): the box's rows and its solutions, m by m.
 
-    This is the package's one enumeration loop. rows[i] is (x, y, z, x**p,
+    One table, two traversal orders: this is the m-major walk of _triples'
+    table, which search and enumerate_solutions use because their output
+    is in (m, x, y, z) order; _roundtrip_chunk walks the same table row by
+    row and counts the same SCAN_COUNTERS. rows[i] is (x, y, z, x**p,
     y**p) as in _triples. batches yields (m, [(i, w), ...]) for every
     nonzero m in range, ascending, scanning each m only when the consumer
     asks for its batch; each batch lists the m's solutions in (x, y, z)
@@ -187,58 +192,103 @@ def _batches(bounds: SearchBounds, stats):
 
 
 def _roundtrip_chunk(bounds: SearchBounds) -> SearchReport:
-    """Worker: enumerate one m chunk and round-trip every solution.
+    """Worker: round-trip every solution of one m chunk, row by row.
 
-    scan yields only theorem-grade solutions, so each goes straight to
-    decomposition.m_fields, which checks the constraints and the regenerate
-    itself; the regenerate implies the identity. The row part is done once
-    per row: at the row's first solution, row_prefix and the names of the
-    row relations that fail are computed and kept by row index. A row that
-    row_prefix refuses keeps no entry, so each of its solutions records the
-    refusal as its own EXCEPTION failure. Per solution, m_relations audits
-    the m relations, and a row relation that fails is a TRACE failure of
-    every solution of its row that decomposes. All of this runs on the
-    fields (x, y, z, m, w) as plain ints; a Solution is built only as the
-    subject of a failures entry. TooLarge is a refusal of the whole box,
-    not one solution's failure, so it propagates.
+    The chunk walks _triples' table in its second order: for each modulus k
+    and residue r, each row of classes[k][r] walks its own m progression
+    r + j*k within the chunk, and its solutions are the nonzero m whose
+    quotient w is nonzero. The SCAN_COUNTERS come out equal to scan's. The row part
+    runs once, at the row's first solution, and stays in local variables:
+    row_prefix (with the row constants) and the names of the row relations
+    that fail. A row that row_prefix refuses makes each of its solutions an
+    EXCEPTION failure, and a failed row relation is a TRACE failure of each
+    of its solutions that decomposes. Per solution, u**p == m*q**p counts
+    as e == 0 (degenerate_e); otherwise m_fields checks the constraints and
+    the regenerate, which implies the identity, and m_relations audits the
+    m relations. scan's rows are theorem grade, so none is re-checked. All
+    of this runs on the fields (x, y, z, m, w) as plain ints; a Solution is
+    built only as the subject of a failures entry, once the failures are
+    sorted into (m, x, y, z) order. TooLarge is a refusal of the whole box,
+    not one solution's failure: the chunk raises the one the first refused
+    solution in (m, x, y, z) order raises, as an m-by-m walk would, and
+    walks no solution past it.
     """
-    p = bounds.p
-    rep = SearchReport()
-    rows, batches = scan(bounds, rep)
-    entries = [None] * len(rows)
-    for m, sols in batches:
-        for i, w in sols:
-            x, y, z, _, _ = rows[i]
-            fields = x, y, z, m, w
-            try:
-                if entries[i] is None:
-                    prefix = row_prefix(p, x, y, z)
-                    row_checks = row_identities(x, y, z, prefix)
-                    entries[i] = prefix, tuple(name for name, ok in row_checks.items() if not ok)
-                prefix, bad_row = entries[i]
-                found = m_fields(p, fields, prefix)
-            except DegenerateE:
-                rep.degenerate_e += 1
-                continue
-            except ConstraintViolation as exc:
-                rep.failures.append((Solution(p, *fields), Failure.CONSTRAINT, str(exc)))
-                continue
-            except RegenerateMismatch as exc:
-                rep.failures.append((Solution(p, *fields), Failure.REGENERATE, str(exc)))
-                continue
-            except TooLarge:
-                raise
-            except ZwformError as exc:
-                rep.failures.append(
-                    (Solution(p, *fields), Failure.EXCEPTION, f"{type(exc).__name__}: {exc}"))
-                continue
-            checks = m_relations(p, fields, prefix, found)
-            if bad_row or not all(checks.values()):
-                bad = bad_row + tuple(name for name, ok in checks.items() if not ok)
-                rep.failures.append((Solution(p, *fields), Failure.TRACE, ",".join(bad)))
-            else:
-                rep.decompose_success += 1
-    return rep
+    p, m_min, m_max = bounds.p, bounds.m_min, bounds.m_max
+    rows, classes = _triples(bounds.bound, p)
+    ms = range(m_min, m_max + 1)
+    has_zero = 0 in ms
+    found = zero_w = degenerate = success = 0
+    failed = []  # (m, row index, fields, Failure, detail)
+    refused = None  # (m, row index, TooLarge) of the first refusal in (m, x, y, z) order
+    for k in range(1, len(classes)):
+        for r, members in enumerate(classes[k]):
+            start = m_min + (r - m_min) % k
+            for i in members:
+                x, y, z, xp, yp = rows[i]
+                # Past a refusal at (m0, i0), only an earlier one can still be
+                # raised: at m < m0, or at m0 in a row before i0.
+                top = m_max if refused is None else min(m_max, refused[0] - (i >= refused[1]))
+                prefix = row_error = None
+                for m in range(start, top + 1, k):
+                    t = xp - m * yp
+                    if not t:
+                        zero_w += 1
+                        continue
+                    if not m:
+                        continue
+                    found += 1
+                    fields = x, y, z, m, t // z
+                    if prefix is None:
+                        if row_error is None:
+                            try:
+                                prefix = row_prefix(p, x, y, z)
+                            except TooLarge as exc:
+                                refused = m, i, exc
+                                break
+                            except ZwformError as exc:
+                                row_error = f"{type(exc).__name__}: {exc}"
+                        if row_error is not None:
+                            failed.append((m, i, fields, Failure.EXCEPTION, row_error))
+                            continue
+                        checks = row_identities(p, x, y, z, prefix)
+                        bad_row = () if all(checks.values()) else tuple(
+                            name for name, ok in checks.items() if not ok)
+                        up, qp = prefix.up, prefix.qp
+                    if up == m * qp:
+                        degenerate += 1
+                        continue
+                    try:
+                        params = m_fields(p, fields, prefix)
+                    except ConstraintViolation as exc:
+                        failed.append((m, i, fields, Failure.CONSTRAINT, str(exc)))
+                        continue
+                    except RegenerateMismatch as exc:
+                        failed.append((m, i, fields, Failure.REGENERATE, str(exc)))
+                        continue
+                    except TooLarge as exc:
+                        refused = m, i, exc
+                        break
+                    except ZwformError as exc:
+                        failed.append((m, i, fields, Failure.EXCEPTION,
+                                       f"{type(exc).__name__}: {exc}"))
+                        continue
+                    bad = m_relations(p, fields, prefix, params)
+                    if bad_row or bad:
+                        failed.append((m, i, fields, Failure.TRACE, ",".join(bad_row + bad)))
+                    else:
+                        success += 1
+    if refused is not None:
+        raise refused[2]
+    failed.sort(key=lambda entry: entry[:2])
+    return SearchReport(
+        instances_checked=len(rows) * (len(ms) - has_zero),
+        solutions_found=found,
+        decompose_success=success,
+        degenerate_e=degenerate,
+        failures=[(Solution(p, *fields), kind, detail) for _, _, fields, kind, detail in failed],
+        filtered_zero_m=len(rows) * has_zero,
+        filtered_zero_w=zero_w,
+    )
 
 
 def _run_chunks(worker, bounds: SearchBounds, jobs: int):
@@ -290,15 +340,16 @@ def enumerate_solutions(bounds: SearchBounds) -> list[Solution]:
 def roundtrip_check(bounds: SearchBounds, jobs: int = 1) -> SearchReport:
     """Decompose every enumerated solution and verify the round trip.
 
-    The solutions are scan's, all theorem grade, so each is decomposed by
-    decomposition.m_fields on its row's row_prefix, computed once per row.
-    Each decomposition is audited: m_fields itself checks that the tuple
-    satisfies the coprimality constraints and regenerates the original
-    through closed_forms, and every trace identity (row_identities once per
-    row, m_relations per solution) must hold exactly. The work runs on plain
-    ints, with no per-solution Solution, ParameterTuple or trace. Anything
-    short of that is recorded in failures under its Failure category, with
-    the Solution as its subject; e == 0 degeneracies are counted
+    The solutions are those scan finds, all theorem grade, walked row by
+    row; each is decomposed by decomposition.m_fields on its row's
+    row_prefix, computed once per row. Each decomposition is audited:
+    m_fields itself checks that the tuple satisfies the coprimality
+    constraints and regenerates the original through closed_forms, and
+    every relation (row_identities once per row, m_relations per solution)
+    must hold exactly. The work runs on plain ints, with no per-solution
+    Solution, ParameterTuple or trace. Anything short of that is recorded
+    in failures under its Failure category, with the Solution as its
+    subject, in (m, x, y, z) order; e == 0 degeneracies are counted
     separately.
     """
     report = SearchReport()

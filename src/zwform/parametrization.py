@@ -170,13 +170,6 @@ def eval_w(t: ParameterTuple, z: int, y: int) -> int:
     return exact_div(acc, q ** p)
 
 
-def _exact(num: int, den: int, t: tuple) -> int:
-    quot, rem = divmod(num, den)
-    if rem:
-        raise IdentityViolation(f"inexact closed-form division in generate({ParameterTuple(*t)})")
-    return quot
-
-
 def closed_forms(p: int, e: int, f: int, g: int, l: int, q: int, n: int,
                  r: int) -> tuple[int, int, int, int, int]:
     """The telescoped closed forms on plain ints: (x, y, z, m, w).
@@ -189,20 +182,25 @@ def closed_forms(p: int, e: int, f: int, g: int, l: int, q: int, n: int,
         raise NotCoprime(f"gcd(e, q) = gcd({e}, {q}) != 1")
     if gcd(l, q) != 1:
         raise NotCoprime(f"gcd(l, q) = gcd({l}, {q}) != 1")
-    t = p, e, f, g, l, q, n, r
     fq = f * q
     u = e * l + fq
     if e:
-        z = _exact(u ** p - fq ** p, e, t)
+        z, rem = divmod(u ** p - fq ** p, e)
+        if rem:
+            raise IdentityViolation(f"inexact closed-form division in generate("
+                                    f"{ParameterTuple(p, e, f, g, l, q, n, r)})")
     else:
         z = p * l * fq ** (p - 1)
     z += g * q ** p
     if z == 0:
-        raise ZeroZ(f"z evaluates to 0 for {ParameterTuple(*t)}")
+        raise ZeroZ(f"z evaluates to 0 for {ParameterTuple(p, e, f, g, l, q, n, r)}")
     y = n * q + e ** (p - 2) * l ** (p - 1) * r
     m = f ** p - e * g
-    x = _exact(u * y - z * r, q, t)
-    w = _exact(x ** p - m * y ** p, z, t)
+    x, x_rem = divmod(u * y - z * r, q)
+    w, w_rem = divmod(x ** p - m * y ** p, z)
+    if x_rem or w_rem:
+        raise IdentityViolation(f"inexact closed-form division in generate("
+                                f"{ParameterTuple(p, e, f, g, l, q, n, r)})")
     return x, y, z, m, w
 
 

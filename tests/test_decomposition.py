@@ -6,13 +6,15 @@ import math
 
 import pytest
 
+import zwform
 from zwform.decomposition import (
     DecompositionTrace,
     RowPrefix,
     bezout_nonzero,
     decompose,
     line_coeffs,
-    m_identities,
+    m_fields,
+    m_relations,
     residual_e,
     residual_g,
     residual_n,
@@ -170,8 +172,9 @@ class TestDecompose:
         assert decompose(sol) == decompose(sol)
 
     def test_degenerate_after_row_prefix(self):
-        # The row part succeeds; e == 0 is met in the m step.
-        assert row_prefix(2, 3, 2, 1) == RowPrefix(1, 2, 1, 1, 1, 1, 1, -1)
+        # The row part succeeds; e == 0 is met in the m step. At |q| == 1,
+        # l is 0, and so is l**(p-1)*r.
+        assert row_prefix(2, 3, 2, 1) == RowPrefix(1, 2, 1, 1, 1, 1, 1, -1, l=0, up=1, qp=1, lr=0)
         with pytest.raises(DegenerateE):
             decompose(Solution(2, 3, 2, 1, 1, 5))
 
@@ -213,6 +216,38 @@ class TestDecompose:
         assert total > 10000
         assert degenerate < total
 
+    @pytest.mark.parametrize("bounds", [
+        SearchBounds(2, 6, -6, 6), SearchBounds(3, 6, -6, 6),
+        SearchBounds(5, 5, -10, 10), SearchBounds(7, 4, -10, 10),
+    ], ids=["p2", "p3", "p5", "p7"])
+    def test_stage_functions_rebuild_every_tuple(self, bounds):
+        # decompose computes l and the row constants in row_prefix, not
+        # through split_u, residual_e and residual_n. The exported stage
+        # functions, with their signatures, must still rebuild its results.
+        sols = []
+        zwform.stream_solutions(bounds, sols.append)
+        degenerate = 0
+        for sol in sols:
+            p, x, y, z, m = sol.p, sol.x, sol.y, sol.z, sol.m
+            a, b = zwform.bezout_nonzero(x, z)
+            c, d = zwform.bezout_nonzero(y, z)
+            h, q, u, r = zwform.line_coeffs(a, b, c, d)
+            e = zwform.residual_e(u, q, m, z, p)
+            if e == 0:
+                with pytest.raises(DegenerateE):
+                    decompose(sol)
+                degenerate += 1
+                continue
+            l, f = zwform.split_u(u, e, q)
+            g = zwform.residual_g(f, m, e, p)
+            n = zwform.residual_n(y, e, l, r, q, p)
+            tup, trace = decompose(sol)
+            assert tup == ParameterTuple(p, e, f, g, l, q, n, r), sol
+            assert trace == DecompositionTrace(a, b, c, d, h, u, q, r, e, l, f, g, n), sol
+            assert row_prefix(p, x, y, z).l == split_u(u, e, q)[0], sol
+            assert all(zwform.trace_identities(sol, trace).values()), sol
+        assert 0 < degenerate < len(sols)
+
     def test_canonical_choices_digest(self):
         # One SHA-256 over every (tuple, trace) of the mini-sweep box pins the
         # canonical extgcd and split_u choices in bulk. The literal predates
@@ -245,13 +280,36 @@ class TestTraceIdentities:
             assert all(checks.values())
 
     def test_union_of_row_and_m_relations(self):
-        for sol, _, trace in FROZEN_ROUNDTRIPS:
-            row = row_identities(sol.x, sol.y, sol.z, trace)
-            assert list(row) == ["bezout_x", "bezout_y", "gcd_split", "line"]
-            assert row == row_identities(sol.x, sol.y, sol.z, row_prefix(sol.p, sol.x, sol.y, sol.z))
-            assert list(m_identities(sol, trace)) == [
-                "residual_e", "split_u", "residual_g", "residual_n"]
-            assert trace_identities(sol, trace) == {**row, **m_identities(sol, trace)}
+        for sol, tup, trace in FROZEN_ROUNDTRIPS:
+            prefix = row_prefix(sol.p, sol.x, sol.y, sol.z)
+            row = row_identities(sol.p, sol.x, sol.y, sol.z, prefix)
+            assert list(row) == ["bezout_x", "bezout_y", "gcd_split", "line", "powers"]
+            assert all(row.values())
+            fields = (sol.x, sol.y, sol.z, sol.m, sol.w)
+            found = m_fields(sol.p, fields, prefix)
+            assert found == (tup.e, tup.l, tup.f, tup.g, tup.n)
+            assert m_relations(sol.p, fields, prefix, found) == ()
+            del row["powers"]
+            assert trace_identities(sol, trace) == {
+                **row, "residual_e": True, "split_u": True, "residual_g": True,
+                "residual_n": True}
+
+    def test_m_relations_name_what_fails(self):
+        sol, tup, _ = FROZEN_ROUNDTRIPS[1]
+        prefix = row_prefix(sol.p, sol.x, sol.y, sol.z)
+        fields = (sol.x, sol.y, sol.z, sol.m, sol.w)
+        e, l, f, g, n = m_fields(sol.p, fields, prefix)
+        assert m_relations(sol.p, fields, prefix, (e, l, f, g + 1, n)) == ("residual_g",)
+        assert m_relations(sol.p, fields, prefix, (e, l, f + 1, g, n + 1)) == (
+            "split_u", "residual_g", "residual_n")
+
+    def test_powers_detects_a_corrupt_row_constant(self):
+        sol = FROZEN_ROUNDTRIPS[1][0]
+        prefix = row_prefix(sol.p, sol.x, sol.y, sol.z)
+        for name in ("up", "qp", "lr"):
+            bad = prefix._replace(**{name: getattr(prefix, name) + 1})
+            checks = row_identities(sol.p, sol.x, sol.y, sol.z, bad)
+            assert [key for key, ok in checks.items() if not ok] == ["powers"]
 
     def test_detects_corruption(self):
         sol, _, trace = FROZEN_ROUNDTRIPS[0]

@@ -10,9 +10,9 @@ import pytest
 
 from test_acceptance import A3_FAILURES, A4_FAILURES, A5_FAILURES, select_failures
 from test_cli import search_report
-from zwform import decomposition, oracle
+from zwform import decomposition, exact_arith, oracle
 from zwform.cli import _emit, _solution_record, run
-from zwform.decomposition import decompose, m_fields, m_step, row_prefix, trace_identities
+from zwform.decomposition import decompose, m_fields, row_prefix, trace_identities
 from zwform.errors import (
     ConstraintViolation, DegenerateE, IdentityViolation, NotDivisible, RegenerateMismatch, TooLarge,
     ZeroZ, ZwformError,
@@ -160,8 +160,8 @@ class TestResidueScan:
 
     @pytest.mark.parametrize("p", [2, 3, 5, 7])
     @pytest.mark.parametrize("bound", range(1, 9))
-    @pytest.mark.parametrize("m_range", [(-9, -1), (-4, 5), (0, 0)],
-                             ids=["negative", "holds_0", "only_0"])
+    @pytest.mark.parametrize("m_range", [(-9, -1), (-4, 5), (0, 0), (3, 11)],
+                             ids=["negative", "holds_0", "only_0", "off_residue"])
     def test_matches_naive_scan(self, p, bound, m_range):
         bounds = SearchBounds(p, bound, *m_range)
         naive = naive_box_scan(p, bound, *m_range)
@@ -177,6 +177,40 @@ class TestResidueScan:
                 for m, sols in batches for i, w in sols] == naive
         assert {key: getattr(stats, key) for key in SCAN_COUNTERS} == counts
         assert enumerate_solutions(bounds) == naive
+        # The round trip walks the same table row by row, each row over its
+        # own m progression, and must count the same instances.
+        report = roundtrip_check(bounds)
+        assert {key: getattr(report, key) for key in SCAN_COUNTERS} == counts
+        assert report.failures == [] and report.consistent()
+
+
+def fake_pool(monkeypatch, cores=3):
+    """Replace the process pool with one that maps in process on cores cores.
+
+    The fake records what it is given, so no worker process starts however
+    large jobs is. Returns the list of pools made.
+    """
+    pools = []
+
+    class FakePool:
+        def __init__(self, max_workers):
+            self.max_workers = max_workers
+            pools.append(self)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, worker, chunks):
+            self.chunks = list(chunks)
+            return map(worker, self.chunks)
+
+    # _run_chunks imports the pool when it starts one, so patch its source.
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
+    monkeypatch.setattr(os, "cpu_count", lambda: cores)
+    return pools
 
 
 class TestRoundtripCheck:
@@ -195,28 +229,7 @@ class TestRoundtripCheck:
         assert serial.failures == parallel.failures
 
     def test_jobs_capped_at_cores(self, monkeypatch):
-        # A fake pool records what it is given and maps in process, so no
-        # worker process starts however large jobs is.
-        pools = []
-
-        class FakePool:
-            def __init__(self, max_workers):
-                self.max_workers = max_workers
-                pools.append(self)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, worker, chunks):
-                self.chunks = list(chunks)
-                return map(worker, self.chunks)
-
-        # _run_chunks imports the pool when it starts one, so patch its source.
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
-        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        pools = fake_pool(monkeypatch)
         bounds = SearchBounds(2, 2, -50, 50)
         report = roundtrip_check(bounds, jobs=10**6)
         (pool,) = pools
@@ -240,8 +253,8 @@ class TestRoundtripCheck:
 def roundtrip_reference(bounds):
     """The round trip solution by solution: decompose and trace_identities
     on every enumerated solution, with no work shared between the solutions
-    of one row. The reference the row cache of roundtrip_check is gated
-    against."""
+    of one row. The reference the row-by-row walk of roundtrip_check is
+    gated against."""
     report = SearchReport()
     sols = []
     report.absorb(stream_solutions(bounds, sols.append))
@@ -279,11 +292,17 @@ def _closed_forms_shift_w(*t, closed_forms=decomposition.closed_forms):
 
 
 def _one_false(p, fields, prefix, found, m_relations=decomposition.m_relations):
-    return {**m_relations(p, fields, prefix, found), "residual_n": False}
+    bad = m_relations(p, fields, prefix, found)
+    return bad if "residual_n" in bad else bad + ("residual_n",)
 
 
-def _line_false_where_x_positive(x, y, z, t, row_identities=decomposition.row_identities):
-    return {**row_identities(x, y, z, t), "line": x <= 0}
+def _line_false_where_x_positive(p, x, y, z, t, row_identities=decomposition.row_identities):
+    return {**row_identities(p, x, y, z, t), "line": x <= 0}
+
+
+def _lr_off_where_q_wide(p, x, y, z, row_prefix=decomposition.row_prefix):
+    prefix = row_prefix(p, x, y, z)
+    return prefix._replace(lr=prefix.lr + 1) if abs(prefix.q) > 1 else prefix
 
 
 def _not_divisible(*args):
@@ -312,7 +331,7 @@ class TestFailureCategories:
         (Failure.CONSTRAINT, decomposition, "gcd_constraints_hold", lambda *args: False),
         (Failure.REGENERATE, decomposition, "closed_forms", _closed_forms_shift_w),
         (Failure.TRACE, oracle, "m_relations", _one_false),
-        (Failure.EXCEPTION, decomposition, "residual_e", _not_divisible),
+        (Failure.EXCEPTION, decomposition, "closed_forms", _not_divisible),
     ]
     INJECTION_IDS = ["constraint", "regenerate", "trace", "exception"]
 
@@ -347,6 +366,34 @@ class TestFailureCategories:
         assert report.consistent()
         assert self.gates_seeing(report) == {"A5"}
 
+    def test_injected_row_failure_pooled_equals_serial(self, monkeypatch):
+        # Rows walk their m progressions within a chunk; the failures of
+        # the chunks, each sorted by (m, x, y, z), concatenate into the
+        # serial order.
+        monkeypatch.setattr(oracle, "row_identities", _line_false_where_x_positive)
+        bounds = SearchBounds(3, 5, -9, 9)
+        serial = roundtrip_check(bounds)
+        pools = fake_pool(monkeypatch)
+        pooled = roundtrip_check(bounds, jobs=3)
+        assert len(pools) == 1 and len(pools[0].chunks) == 3
+        assert serial.failures and pooled.failures == serial.failures
+        assert pooled.as_counts() == serial.as_counts()
+
+    def test_corrupt_row_constant_fails_every_solution_of_its_rows(self, monkeypatch):
+        # row_prefix computes l**(p-1)*r once per row and every m step of the
+        # row reads it: off by one, it fails each solution of the row. Rows
+        # with |q| > 1 have no e == 0 solution.
+        monkeypatch.setattr(oracle, "row_prefix", _lr_off_where_q_wide)
+        bounds = SearchBounds(3, 6, -4, 4)
+        report = roundtrip_check(bounds)
+        wide = [sol for sol in enumerate_solutions(bounds)
+                if abs(row_prefix(sol.p, sol.x, sol.y, sol.z).q) > 1]
+        assert len(wide) > 24
+        assert [sol for sol, _, _ in report.failures] == wide
+        assert report.decompose_success + report.degenerate_e + len(wide) == \
+            report.solutions_found
+        assert report.consistent()
+
     def test_every_category_has_a_gate(self):
         round_trip = {Failure.EXCEPTION, Failure.CONSTRAINT, Failure.REGENERATE, Failure.TRACE}
         assert A3_FAILURES | A4_FAILURES | A5_FAILURES == round_trip
@@ -372,7 +419,7 @@ class TestRowCache:
     @pytest.mark.parametrize("target, name, fake", [
         (decomposition, "row_identities", _line_false_where_x_positive),
         (decomposition, "m_relations", _one_false),
-        (decomposition, "residual_e", _not_divisible),
+        (decomposition, "closed_forms", _not_divisible),
         (decomposition, "line_coeffs", _line_coeffs_refused_where_a_positive_c_negative),
     ], ids=["row_relation", "m_relation", "exception", "row_exception"])
     def test_injected_failures_match_reference(self, monkeypatch, target, name, fake):
@@ -403,22 +450,46 @@ class TestRowCache:
                 prefixes[row] = row_prefix(sol.p, *row)
             fields = (sol.x, sol.y, sol.z, sol.m, sol.w)
             try:
-                reused = m_step(sol, prefixes[row])
                 found = m_fields(sol.p, fields, prefixes[row])
             except DegenerateE:
-                reused = found = DegenerateE
+                found = DegenerateE
             try:
                 direct = decompose(sol)
             except DegenerateE:
                 direct = DegenerateE
-            assert reused == direct, sol
-            if direct is not DegenerateE:
-                tup = direct[0]
+            if direct is DegenerateE:
+                assert found is DegenerateE, sol
+            else:
+                tup, trace = direct
                 assert found == (tup.e, tup.l, tup.f, tup.g, tup.n), sol
+                assert prefixes[row][:8] == (trace.a, trace.b, trace.c, trace.d, trace.h,
+                                             trace.u, trace.q, trace.r), sol
             outcomes.append(direct)
         assert DegenerateE in outcomes
         assert len(outcomes) > len(prefixes)
         assert sum(abs(prefix.q) > 1 for prefix in prefixes.values()) >= wide_q_rows
+
+
+class TestRefusalOrder:
+    """A TooLarge refusal of the row-by-row round trip is the m-by-m one."""
+
+    @pytest.mark.parametrize("limit", [12, 20, 30])
+    @pytest.mark.parametrize("bounds", [SearchBounds(7, 6, -9, 9), SearchBounds(5, 8, 2, 12)],
+                             ids=["p7", "p5"])
+    @pytest.mark.parametrize("jobs", [1, 3])
+    def test_first_refusal_in_m_order(self, monkeypatch, limit, bounds, jobs):
+        # Under a small power budget, solutions of many rows are refused, with
+        # messages that name different widths. The reference records each
+        # refusal as a failure, in (m, x, y, z) order.
+        monkeypatch.setattr(exact_arith, "MAX_POWER_BITS", limit)
+        monkeypatch.setattr(decomposition, "MAX_POWER_BITS", limit)
+        refusals = [detail for _, _, detail in roundtrip_reference(bounds).failures
+                    if detail.startswith("TooLarge: ")]
+        assert len(set(refusals)) > 1
+        fake_pool(monkeypatch)
+        with pytest.raises(TooLarge) as got:
+            roundtrip_check(bounds, jobs=jobs)
+        assert f"TooLarge: {got.value}" == refusals[0]
 
 
 class TestSolutionObjects:
