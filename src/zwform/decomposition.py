@@ -51,7 +51,7 @@ from .errors import (
     RegenerateMismatch,
 )
 from .parametrization import (
-    ParameterTuple, Solution, closed_forms, gcd_constraints_hold, theorem_grade_flags,
+    ParameterTuple, Solution, _telescoped, gcd_constraints_hold, theorem_grade_flags,
 )
 
 
@@ -164,17 +164,19 @@ def residual_n(y: int, e: int, l: int, r: int, q: int, p: int) -> int:
     return exact_div(y - e ** (p - 2) * l ** (p - 1) * r, q)
 
 
-def row_prefix(p: int, x: int, y: int, z: int) -> RowPrefix:
+def row_prefix(p: int, x: int, y: int, z: int, bezout=bezout_nonzero) -> RowPrefix:
     """The row part on one row: both Bezout pairs, the line coefficients and
     the row constants l, u**p, q**p and l**(p-1)*r.
 
     Requires x, y, z pairwise coprime (bezout_nonzero raises NotCoprime
-    otherwise). TooLarge is raised when the p-th power of u or q would pass
-    MAX_POWER_BITS, before either is taken. l = z * u**(1-p) mod |q|, or 0
-    at |q| == 1, is split_u's l for every m of the row.
+    otherwise). The pairs are bezout(x, z) and bezout(y, z); a caller that
+    walks many rows of one z passes a memo of bezout_nonzero, so that each
+    (v, z) is solved once. TooLarge is raised when the p-th power of u or q
+    would pass MAX_POWER_BITS, before either is taken. l = z * u**(1-p) mod
+    |q|, or 0 at |q| == 1, is split_u's l for every m of the row.
     """
-    a, b = bezout_nonzero(x, z)
-    c, d = bezout_nonzero(y, z)
+    a, b = bezout(x, z)
+    c, d = bezout(y, z)
     h, q, u, r = line_coeffs(a, b, c, d)
     # The row constants raise u and q to p; refuse them before they do.
     _check_powers(p, u, q)
@@ -190,12 +192,14 @@ def m_fields(p: int, fields: tuple, prefix: RowPrefix) -> tuple[int, int, int, i
     prefix must be row_prefix of its row. Returns (e, l, f, g, n), with l
     the prefix's. Postconditions checked before returning: the three
     coprimality constraints gcd(e,q) == gcd(l,q) == gcd(n,r) == 1
-    (gcd_constraints_hold), and that closed_forms on the tuple reproduces
-    fields. A violation raises ConstraintViolation or RegenerateMismatch and
-    means a bug, not bad input. TooLarge is raised before g and n are
-    computed when the p-th power of e or f would pass MAX_POWER_BITS. The
-    Solution and ParameterTuple that the messages name are built only to
-    raise.
+    (gcd_constraints_hold), and that closed_forms' arithmetic on the tuple
+    reproduces fields. That regenerate is _telescoped, closed_forms without
+    its gcd(e, q) and gcd(l, q) tests, which gcd_constraints_hold has just
+    passed, so a solution takes three gcds. A violation raises
+    ConstraintViolation or RegenerateMismatch and means a bug, not bad
+    input. TooLarge is raised before g and n are computed when the p-th
+    power of e or f would pass MAX_POWER_BITS. The Solution and
+    ParameterTuple that the messages name are built only to raise.
     """
     x, y, z, m, w = fields
     _, _, _, _, _, u, q, r, l, up, qp, lr = prefix
@@ -221,7 +225,7 @@ def m_fields(p: int, fields: tuple, prefix: RowPrefix) -> tuple[int, int, int, i
     if not gcd_constraints_hold(e, l, q, n, r):
         raise ConstraintViolation(
             f"coprimality postcondition failed for {ParameterTuple(p, e, f, g, l, q, n, r)}")
-    regen = closed_forms(p, e, f, g, l, q, n, r)
+    regen = _telescoped(p, e, f, g, l, q, n, r)
     if regen != (x, y, z, m, w):
         raise RegenerateMismatch(f"generate({ParameterTuple(p, e, f, g, l, q, n, r)}) gave "
                                  f"{Solution(p, *regen)}, expected {Solution(p, x, y, z, m, w)}")
@@ -250,21 +254,32 @@ def decompose(sol: Solution) -> tuple[ParameterTuple, DecompositionTrace]:
             DecompositionTrace(a, b, c, d, h, u, q, r, e, l, f, g, n))
 
 
-def row_identities(p: int, x: int, y: int, z: int, prefix: RowPrefix) -> dict[str, bool]:
+# The relations of steps 1 and 2 and of the row constants, in the order
+# row_identities names them; trace_identities lists the first four.
+ROW_RELATIONS = ("bezout_x", "bezout_y", "gcd_split", "line", "powers")
+
+
+def row_identities(p: int, x: int, y: int, z: int, prefix: RowPrefix) -> tuple[str, ...]:
     """Exact re-check of the row part's relations on one row.
 
-    prefix is a RowPrefix of the row (x, y, z) at exponent p. The first four
-    relations are steps 1 and 2; "powers" checks the row constants against
-    u, q, l and r.
+    prefix is a RowPrefix of the row (x, y, z) at exponent p. Returns the
+    names of the relations that fail, in ROW_RELATIONS order: empty when all
+    hold. The first four relations are steps 1 and 2; "powers" checks the
+    row constants against u, q, l and r.
     """
     a, b, c, d, h, u, q, r, l, up, qp, lr = prefix
-    return {
-        "bezout_x": a * x - b * z == 1 and a != 0,
-        "bezout_y": c * y - d * z == 1 and c != 0,
-        "gcd_split": h == gcd(a, c) and h > 0 and a == q * h and c == u * h and d - b == r * h,
-        "line": q * x == -z * r + u * y,
-        "powers": up == u ** p and qp == q ** p and lr == l ** (p - 1) * r,
-    }
+    bad = ()
+    if a * x - b * z != 1 or a == 0:
+        bad += ("bezout_x",)
+    if c * y - d * z != 1 or c == 0:
+        bad += ("bezout_y",)
+    if not (h == gcd(a, c) and h > 0 and a == q * h and c == u * h and d - b == r * h):
+        bad += ("gcd_split",)
+    if q * x != -z * r + u * y:
+        bad += ("line",)
+    if up != u ** p or qp != q ** p or lr != l ** (p - 1) * r:
+        bad += ("powers",)
+    return bad
 
 
 # The relations of steps 3 to 5, in the order trace_identities lists them.
@@ -283,11 +298,16 @@ def m_relations(p: int, fields: tuple, prefix: RowPrefix, found: tuple) -> tuple
     _, y, z, m, _ = fields
     e, l, f, g, n = found
     _, _, _, _, _, u, q, _, _, up, qp, lr = prefix
-    holds = (up - m * qp == z * e, u == e * l + f * q, f ** p - m == e * g,
-             y == n * q + e ** (p - 2) * lr)
-    if all(holds):
-        return ()
-    return tuple(name for name, ok in zip(M_RELATIONS, holds) if not ok)
+    bad = ()
+    if up - m * qp != z * e:
+        bad += ("residual_e",)
+    if u != e * l + f * q:
+        bad += ("split_u",)
+    if f ** p - m != e * g:
+        bad += ("residual_g",)
+    if y != n * q + e ** (p - 2) * lr:
+        bad += ("residual_n",)
+    return bad
 
 
 def trace_identities(sol: Solution, trace: DecompositionTrace) -> dict[str, bool]:
@@ -304,8 +324,6 @@ def trace_identities(sol: Solution, trace: DecompositionTrace) -> dict[str, bool
     p, t = sol.p, trace
     prefix = RowPrefix(t.a, t.b, t.c, t.d, t.h, t.u, t.q, t.r, t.l,
                        t.u ** p, t.q ** p, t.l ** (p - 1) * t.r)
-    row = row_identities(p, sol.x, sol.y, sol.z, prefix)
-    del row["powers"]
-    bad = m_relations(p, (sol.x, sol.y, sol.z, sol.m, sol.w), prefix,
-                      (t.e, t.l, t.f, t.g, t.n))
-    return {**row, **{name: name not in bad for name in M_RELATIONS}}
+    bad = row_identities(p, sol.x, sol.y, sol.z, prefix) + m_relations(
+        p, (sol.x, sol.y, sol.z, sol.m, sol.w), prefix, (t.e, t.l, t.f, t.g, t.n))
+    return {name: name not in bad for name in ROW_RELATIONS[:4] + M_RELATIONS}

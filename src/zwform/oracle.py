@@ -23,13 +23,13 @@ from __future__ import annotations
 import enum
 import os
 from dataclasses import dataclass, field, fields, replace
-from functools import lru_cache
+from functools import cache, lru_cache
 from math import gcd
 
-from .decomposition import m_fields, m_relations, row_identities, row_prefix
+from .decomposition import bezout_nonzero, m_fields, m_relations, row_identities, row_prefix
 from .errors import ConstraintViolation, RegenerateMismatch, TooLarge, ZeroZ, ZwformError
 from .exact_arith import is_prime
-from .parametrization import ParameterTuple, Solution, generate, generate_reference
+from .parametrization import ParameterTuple, Solution, closed_forms, generate_reference
 
 
 @dataclass(frozen=True)
@@ -200,7 +200,10 @@ def _roundtrip_chunk(bounds: SearchBounds) -> SearchReport:
     quotient w is nonzero. The SCAN_COUNTERS come out equal to scan's. The row part
     runs once, at the row's first solution, and stays in local variables:
     row_prefix (with the row constants) and the names of the row relations
-    that fail. A row that row_prefix refuses makes each of its solutions an
+    that fail. row_prefix reads its Bezout pairs through a memo of
+    bezout_nonzero made for this chunk alone, so each (v, z) is solved once
+    per chunk however many rows share it, and no state outlives the call.
+    A row that row_prefix refuses makes each of its solutions an
     EXCEPTION failure, and a failed row relation is a TRACE failure of each
     of its solutions that decomposes. Per solution, u**p == m*q**p counts
     as e == 0 (degenerate_e); otherwise m_fields checks the constraints and
@@ -220,6 +223,7 @@ def _roundtrip_chunk(bounds: SearchBounds) -> SearchReport:
     found = zero_w = degenerate = success = 0
     failed = []  # (m, row index, fields, Failure, detail)
     refused = None  # (m, row index, TooLarge) of the first refusal in (m, x, y, z) order
+    bezout = cache(bezout_nonzero)
     for k in range(1, len(classes)):
         for r, members in enumerate(classes[k]):
             start = m_min + (r - m_min) % k
@@ -241,7 +245,7 @@ def _roundtrip_chunk(bounds: SearchBounds) -> SearchReport:
                     if prefix is None:
                         if row_error is None:
                             try:
-                                prefix = row_prefix(p, x, y, z)
+                                prefix = row_prefix(p, x, y, z, bezout)
                             except TooLarge as exc:
                                 refused = m, i, exc
                                 break
@@ -250,9 +254,7 @@ def _roundtrip_chunk(bounds: SearchBounds) -> SearchReport:
                         if row_error is not None:
                             failed.append((m, i, fields, Failure.EXCEPTION, row_error))
                             continue
-                        checks = row_identities(p, x, y, z, prefix)
-                        bad_row = () if all(checks.values()) else tuple(
-                            name for name, ok in checks.items() if not ok)
+                        bad_row = row_identities(p, x, y, z, prefix)
                         up, qp = prefix.up, prefix.qp
                     if up == m * qp:
                         degenerate += 1
@@ -365,9 +367,11 @@ _GAMMA = 0x9E3779B97F4A7C15
 def _mix64(z: int) -> int:
     """splitmix64's output function of one 64-bit state.
 
-    This is the single source of randomness in the package: the k-th word
-    of splitmix64 from seed s is _mix64(s + k*_GAMMA mod 2**64), identical
-    on every platform and Python version, and a function of k alone.
+    The k-th word of splitmix64 from seed s is _mix64(s + k*_GAMMA mod
+    2**64), identical on every platform and Python version, and a function
+    of k alone. sample_tuples, the package's one source of randomness,
+    inlines this function; it stays as the reference that the tests step
+    splitmix64 with.
     """
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
@@ -383,7 +387,8 @@ def sample_tuples(p: int, limit: int, count: int, seed: int) -> list[ParameterTu
     q, n, r, and is discarded unless q != 0 and gcd(e,q) == gcd(l,q) ==
     gcd(n,r) == 1. A word depends only on its index, so q is computed
     first, the others only while the draw can still pass, and f and g only
-    for draws that do. Deterministic for a fixed seed.
+    for draws that do. Each word is one call, with _mix64 inlined.
+    Deterministic for a fixed seed.
     """
     if limit < 1:
         raise ValueError(f"limit must be >= 1, got {limit}")
@@ -393,8 +398,11 @@ def sample_tuples(p: int, limit: int, count: int, seed: int) -> list[ParameterTu
     state = seed & _MASK64
 
     def word(k):
-        """The k-th word past state, reduced to [-limit, limit]."""
-        return _mix64((state + k * _GAMMA) & _MASK64) % span - limit
+        """The k-th word past state (_mix64, inlined), reduced to [-limit, limit]."""
+        z = (state + k * _GAMMA) & _MASK64
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+        return (z ^ (z >> 31)) % span - limit
 
     out = []
     while len(out) < count:
@@ -424,11 +432,12 @@ def identity_fuzz(p: int, limit: int, count: int, seed: int) -> SearchReport:
 
     Tuples whose z is 0 (ZeroZ from the reference) are skipped: they
     generate nothing. For the rest, an error from either side is an
-    EXCEPTION failure, and a solution that differs from the reference's in
-    any of x, y, z, m and w is a REFERENCE failure whose detail names the
-    fields that differ. Before any tuple is sampled, a fuzz whose reference
-    sums would pass MAX_REFERENCE_BITS is refused with TooLarge; a count of
-    0 samples nothing and is never refused.
+    EXCEPTION failure, and fields that differ from the reference's in any
+    of x, y, z, m and w are a REFERENCE failure whose detail names them.
+    The generate side is closed_forms, generate's arithmetic and checks, on
+    plain ints: no Solution is built for it. Before any tuple is sampled, a
+    fuzz whose reference sums would pass MAX_REFERENCE_BITS is refused with
+    TooLarge; a count of 0 samples nothing and is never refused.
     """
     cost = p * p * p * (2 * limit.bit_length() - 1)
     if count > 0 and cost > MAX_REFERENCE_BITS:
@@ -448,13 +457,14 @@ def identity_fuzz(p: int, limit: int, count: int, seed: int) -> SearchReport:
             continue
         report.solutions_found += 1
         try:
-            sol = generate(t)
+            got = closed_forms(t.p, t.e, t.f, t.g, t.l, t.q, t.n, t.r)
         except ZwformError as exc:
             report.failures.append((t, Failure.EXCEPTION, f"{type(exc).__name__}: {exc}"))
             continue
-        differs = [name for name in "xyzmw" if getattr(sol, name) != getattr(ref, name)]
-        if differs:
-            report.failures.append((t, Failure.REFERENCE, "differs in " + ", ".join(differs)))
-        else:
+        want = ref.x, ref.y, ref.z, ref.m, ref.w
+        if got == want:
             report.decompose_success += 1
+        else:
+            differs = [name for name, a, b in zip("xyzmw", got, want) if a != b]
+            report.failures.append((t, Failure.REFERENCE, "differs in " + ", ".join(differs)))
     return report

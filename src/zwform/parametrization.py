@@ -176,12 +176,23 @@ def closed_forms(p: int, e: int, f: int, g: int, l: int, q: int, n: int,
 
     The arithmetic of generate, for a prime p and q != 0, with its checks in
     the same order and its messages, which name the ParameterTuple; that
-    object is built only to raise.
+    object is built only to raise. The two NotCoprime checks come first,
+    then _telescoped runs the arithmetic and its checks.
     """
     if gcd(e, q) != 1:
         raise NotCoprime(f"gcd(e, q) = gcd({e}, {q}) != 1")
     if gcd(l, q) != 1:
         raise NotCoprime(f"gcd(l, q) = gcd({l}, {q}) != 1")
+    return _telescoped(p, e, f, g, l, q, n, r)
+
+
+def _telescoped(p: int, e: int, f: int, g: int, l: int, q: int, n: int,
+                r: int) -> tuple[int, int, int, int, int]:
+    """closed_forms past its NotCoprime checks, for a caller that has made them.
+
+    Requires gcd(e, q) == gcd(l, q) == 1, which it does not test. Raises
+    IdentityViolation on a remainder and ZeroZ, as closed_forms does.
+    """
     fq = f * q
     u = e * l + fq
     if e:

@@ -7,7 +7,9 @@ import math
 import pytest
 
 import zwform
+from zwform import decomposition, parametrization
 from zwform.decomposition import (
+    ROW_RELATIONS,
     DecompositionTrace,
     RowPrefix,
     bezout_nonzero,
@@ -248,6 +250,29 @@ class TestDecompose:
             assert all(zwform.trace_identities(sol, trace).values()), sol
         assert 0 < degenerate < len(sols)
 
+    def test_m_fields_takes_three_gcds(self, monkeypatch):
+        # gcd_constraints_hold takes gcd(e, q), gcd(l, q) and gcd(n, r); the
+        # regenerate that follows does not take the first two again.
+        calls = []
+
+        def counted(s, t):
+            calls.append((s, t))
+            return math.gcd(s, t)
+
+        solved = 0
+        for sol in enumerate_solutions(SearchBounds(3, 6, -6, 6)):
+            prefix = row_prefix(sol.p, sol.x, sol.y, sol.z)
+            if prefix.up == sol.m * prefix.qp:
+                continue
+            calls.clear()
+            with monkeypatch.context() as patch:
+                patch.setattr(parametrization, "gcd", counted)
+                patch.setattr(decomposition, "gcd", counted)
+                e, l, _, _, n = m_fields(sol.p, (sol.x, sol.y, sol.z, sol.m, sol.w), prefix)
+            assert calls == [(e, prefix.q), (l, prefix.q), (n, prefix.r)], sol
+            solved += 1
+        assert solved > 1000
+
     def test_canonical_choices_digest(self):
         # One SHA-256 over every (tuple, trace) of the mini-sweep box pins the
         # canonical extgcd and split_u choices in bulk. The literal predates
@@ -282,17 +307,15 @@ class TestTraceIdentities:
     def test_union_of_row_and_m_relations(self):
         for sol, tup, trace in FROZEN_ROUNDTRIPS:
             prefix = row_prefix(sol.p, sol.x, sol.y, sol.z)
-            row = row_identities(sol.p, sol.x, sol.y, sol.z, prefix)
-            assert list(row) == ["bezout_x", "bezout_y", "gcd_split", "line", "powers"]
-            assert all(row.values())
+            assert ROW_RELATIONS == ("bezout_x", "bezout_y", "gcd_split", "line", "powers")
+            assert row_identities(sol.p, sol.x, sol.y, sol.z, prefix) == ()
             fields = (sol.x, sol.y, sol.z, sol.m, sol.w)
             found = m_fields(sol.p, fields, prefix)
             assert found == (tup.e, tup.l, tup.f, tup.g, tup.n)
             assert m_relations(sol.p, fields, prefix, found) == ()
-            del row["powers"]
-            assert trace_identities(sol, trace) == {
-                **row, "residual_e": True, "split_u": True, "residual_g": True,
-                "residual_n": True}
+            assert trace_identities(sol, trace) == dict.fromkeys(
+                ["bezout_x", "bezout_y", "gcd_split", "line",
+                 "residual_e", "split_u", "residual_g", "residual_n"], True)
 
     def test_m_relations_name_what_fails(self):
         sol, tup, _ = FROZEN_ROUNDTRIPS[1]
@@ -308,8 +331,14 @@ class TestTraceIdentities:
         prefix = row_prefix(sol.p, sol.x, sol.y, sol.z)
         for name in ("up", "qp", "lr"):
             bad = prefix._replace(**{name: getattr(prefix, name) + 1})
-            checks = row_identities(sol.p, sol.x, sol.y, sol.z, bad)
-            assert [key for key, ok in checks.items() if not ok] == ["powers"]
+            assert row_identities(sol.p, sol.x, sol.y, sol.z, bad) == ("powers",)
+
+    def test_row_identities_name_what_fails(self):
+        sol = FROZEN_ROUNDTRIPS[1][0]
+        prefix = row_prefix(sol.p, sol.x, sol.y, sol.z)
+        bad = prefix._replace(b=prefix.b + 1, r=prefix.r + 1)
+        assert row_identities(sol.p, sol.x, sol.y, sol.z, bad) == (
+            "bezout_x", "gcd_split", "line", "powers")
 
     def test_detects_corruption(self):
         sol, _, trace = FROZEN_ROUNDTRIPS[0]

@@ -10,7 +10,7 @@ import pytest
 
 from test_acceptance import A3_FAILURES, A4_FAILURES, A5_FAILURES, select_failures
 from test_cli import search_report
-from zwform import decomposition, exact_arith, oracle
+from zwform import decomposition, exact_arith, oracle, parametrization
 from zwform.cli import _emit, _solution_record, run
 from zwform.decomposition import decompose, m_fields, row_prefix, trace_identities
 from zwform.errors import (
@@ -281,14 +281,12 @@ def roundtrip_reference(bounds):
     return report
 
 
-def _shift_w(t):
-    sol = generate(t)
-    return dataclasses.replace(sol, w=sol.w + 1)
-
-
-def _closed_forms_shift_w(*t, closed_forms=decomposition.closed_forms):
-    x, y, z, m, w = closed_forms(*t)
-    return x, y, z, m, w + 1
+def _w_plus_one(forms):
+    """forms, a function returning (x, y, z, m, w), with its w off by one."""
+    def shifted(*t):
+        x, y, z, m, w = forms(*t)
+        return x, y, z, m, w + 1
+    return shifted
 
 
 def _one_false(p, fields, prefix, found, m_relations=decomposition.m_relations):
@@ -297,11 +295,12 @@ def _one_false(p, fields, prefix, found, m_relations=decomposition.m_relations):
 
 
 def _line_false_where_x_positive(p, x, y, z, t, row_identities=decomposition.row_identities):
-    return {**row_identities(p, x, y, z, t), "line": x <= 0}
+    bad = row_identities(p, x, y, z, t)
+    return bad + ("line",) if x > 0 and "line" not in bad else bad
 
 
-def _lr_off_where_q_wide(p, x, y, z, row_prefix=decomposition.row_prefix):
-    prefix = row_prefix(p, x, y, z)
+def _lr_off_where_q_wide(*args, row_prefix=decomposition.row_prefix):
+    prefix = row_prefix(*args)
     return prefix._replace(lr=prefix.lr + 1) if abs(prefix.q) > 1 else prefix
 
 
@@ -329,9 +328,10 @@ class TestFailureCategories:
 
     INJECTIONS = [
         (Failure.CONSTRAINT, decomposition, "gcd_constraints_hold", lambda *args: False),
-        (Failure.REGENERATE, decomposition, "closed_forms", _closed_forms_shift_w),
+        (Failure.REGENERATE, decomposition, "_telescoped",
+         _w_plus_one(parametrization._telescoped)),
         (Failure.TRACE, oracle, "m_relations", _one_false),
-        (Failure.EXCEPTION, decomposition, "closed_forms", _not_divisible),
+        (Failure.EXCEPTION, decomposition, "_telescoped", _not_divisible),
     ]
     INJECTION_IDS = ["constraint", "regenerate", "trace", "exception"]
 
@@ -419,7 +419,7 @@ class TestRowCache:
     @pytest.mark.parametrize("target, name, fake", [
         (decomposition, "row_identities", _line_false_where_x_positive),
         (decomposition, "m_relations", _one_false),
-        (decomposition, "closed_forms", _not_divisible),
+        (decomposition, "_telescoped", _not_divisible),
         (decomposition, "line_coeffs", _line_coeffs_refused_where_a_positive_c_negative),
     ], ids=["row_relation", "m_relation", "exception", "row_exception"])
     def test_injected_failures_match_reference(self, monkeypatch, target, name, fake):
@@ -468,6 +468,35 @@ class TestRowCache:
         assert DegenerateE in outcomes
         assert len(outcomes) > len(prefixes)
         assert sum(abs(prefix.q) > 1 for prefix in prefixes.values()) >= wide_q_rows
+
+
+class TestWorkDoneOnce:
+    """A round trip solves each Bezout pair once per chunk."""
+
+    @pytest.mark.parametrize("jobs", [1, 3])
+    def test_one_bezout_pair_per_v_and_z(self, monkeypatch, jobs):
+        # bezout_nonzero takes one extgcd per pair it solves. Rows of one z
+        # share (v, z) pairs, and a row's prefix is computed at its first
+        # solution, so the pairs solved are those of the rows with one.
+        solved = []
+
+        def counted(v, z, extgcd=decomposition.extgcd):
+            solved.append((v, z))
+            return extgcd(v, z)
+
+        monkeypatch.setattr(decomposition, "extgcd", counted)
+        bounds = SearchBounds(3, 10, -10, 10)
+        pools = fake_pool(monkeypatch)
+        report = roundtrip_check(bounds, jobs=jobs)
+        assert report.failures == [] and report.decompose_success > 0
+        assert len(pools) == (jobs > 1)
+        expected = []
+        for part in pools[0].chunks if pools else [bounds]:
+            expected += {pair for sol in enumerate_solutions(part)
+                         for pair in ((sol.x, sol.z), (sol.y, sol.z))}
+        assert sorted(solved) == sorted(expected)
+        if jobs == 1:
+            assert len(solved) == 252
 
 
 class TestRefusalOrder:
@@ -637,12 +666,28 @@ class TestIdentityFuzz:
             assert sol.x ** 3 - sol.m * sol.y ** 3 == sol.z * sol.w
 
     def test_wrong_w_is_a_reference_failure(self, monkeypatch):
-        monkeypatch.setattr(oracle, "generate", _shift_w)
+        monkeypatch.setattr(oracle, "closed_forms", _w_plus_one(parametrization.closed_forms))
         report = identity_fuzz(3, 4, 50, seed=5)
         assert report.solutions_found > 0
         assert report.decompose_success == 0
         assert {kind for _, kind, _ in report.failures} == {Failure.REFERENCE}
         assert {detail for _, _, detail in report.failures} == {"differs in w"}
+
+    def test_builds_only_the_reference_solution(self, monkeypatch):
+        # The generate side compares closed_forms' ints with the reference's
+        # fields, so only generate_reference builds a Solution.
+        built = []
+
+        def counted(*fields):
+            built.append(fields)
+            return Solution(*fields)
+
+        monkeypatch.setattr(parametrization, "Solution", counted)
+        monkeypatch.setattr(oracle, "Solution", counted)
+        report = identity_fuzz(3, 10, 500, seed=0)
+        assert report.failures == []
+        assert report.decompose_success == report.solutions_found > 400
+        assert len(built) == report.solutions_found
 
     def test_reference_error_is_an_exception_failure(self, monkeypatch):
         def broken_reference(t):
@@ -658,14 +703,13 @@ class TestIdentityFuzz:
 
     @pytest.mark.parametrize("p", [2, 3, 7])
     def test_degenerate_z_shift_is_caught(self, monkeypatch, p):
-        # A z off by q**p in generate's e == 0 branch, with x and w computed
-        # from it (at e == 0, |q| == 1, so that is generate at g + 1). The
+        # A z off by q**p in closed_forms' e == 0 branch, with x and w computed
+        # from it (at e == 0, |q| == 1, so that is closed_forms at g + 1). The
         # identity, the line and norm relations and the paper's w bracket
         # all hold for such a solution; only the reference tells it apart.
-        real = oracle.generate
-        monkeypatch.setattr(
-            oracle, "generate",
-            lambda t: real(dataclasses.replace(t, g=t.g + 1) if t.e == 0 else t))
+        real = oracle.closed_forms
+        monkeypatch.setattr(oracle, "closed_forms",
+                            lambda p, e, f, g, *rest: real(p, e, f, g + (e == 0), *rest))
         report = identity_fuzz(p, 3, 300, seed=1)
         degenerate = [t for t in sample_tuples(p, 3, 300, seed=1) if t.e == 0 and eval_z(t)]
         assert len(degenerate) >= 20
