@@ -24,7 +24,9 @@ Every division is exact and every choice is canonical, so the procedure is
 deterministic and its full intermediate trace is kept for auditing. The one
 genuinely undefined path is e == 0 (equivalently u**p == m*q**p, which
 forces |q| == 1 and m to be a p-th power up to sign): g has no defining
-relation there, and m_fields raises DegenerateE, the only place that does.
+relation there. m_fields is the one place that tests for it and returns
+None, and decompose turns that None into DegenerateE, the only place that
+raises it.
 
 Every solution of one row shares its prefix, which also holds the row
 constants u**p, q**p and l**(p-1)*r that steps 3 to 5 read. The oracle's
@@ -185,12 +187,14 @@ def row_prefix(p: int, x: int, y: int, z: int, bezout=bezout_nonzero) -> RowPref
     return RowPrefix(a, b, c, d, h, u, q, r, l, u ** p, q ** p, l ** (p - 1) * r)
 
 
-def m_fields(p: int, fields: tuple, prefix: RowPrefix) -> tuple[int, int, int, int, int]:
+def m_fields(p: int, fields: tuple, prefix: RowPrefix) -> tuple[int, int, int, int, int] | None:
     """Steps 3 to 5 on one solution, given its row's prefix, and the postconditions.
 
     fields is the solution's (x, y, z, m, w); it must be theorem grade, and
     prefix must be row_prefix of its row. Returns (e, l, f, g, n), with l
-    the prefix's. Postconditions checked before returning: the three
+    the prefix's, or None when e == 0, where g is undefined: the one test
+    for that case, on which decompose raises DegenerateE and the round trip
+    counts degenerate_e. Postconditions checked before returning: the three
     coprimality constraints gcd(e,q) == gcd(l,q) == gcd(n,r) == 1
     (gcd_constraints_hold), and that closed_forms' arithmetic on the tuple
     reproduces fields. That regenerate is _telescoped, closed_forms without
@@ -208,8 +212,7 @@ def m_fields(p: int, fields: tuple, prefix: RowPrefix) -> tuple[int, int, int, i
     if rem:
         raise NotDivisible(f"{z} does not divide {up - m * qp}")
     if e == 0:
-        raise DegenerateE(f"u**p == m*q**p for {Solution(p, x, y, z, m, w)}: "
-                          f"m = {m} is a p-th power up to sign")
+        return None
     f, rem = divmod(u - e * l, q)
     if rem:
         raise NotDivisible(f"{q} does not divide {u - e * l}")
@@ -238,6 +241,7 @@ def decompose(sol: Solution) -> tuple[ParameterTuple, DecompositionTrace]:
     Refuses a solution that is not theorem grade with NotTheoremGrade, naming
     the first hypothesis it fails, then runs m_fields on row_prefix of its
     row; see those two for the postconditions and the TooLarge refusals.
+    Raises DegenerateE where m_fields finds e == 0.
     """
     flags = theorem_grade_flags(sol)
     if not flags["nonzero"]:
@@ -248,7 +252,10 @@ def decompose(sol: Solution) -> tuple[ParameterTuple, DecompositionTrace]:
         raise NotTheoremGrade(f"x**p - m*y**p != z*w for {sol}")
     p = sol.p
     prefix = row_prefix(p, sol.x, sol.y, sol.z)
-    e, l, f, g, n = m_fields(p, (sol.x, sol.y, sol.z, sol.m, sol.w), prefix)
+    found = m_fields(p, (sol.x, sol.y, sol.z, sol.m, sol.w), prefix)
+    if found is None:
+        raise DegenerateE(f"u**p == m*q**p for {sol}: m = {sol.m} is a p-th power up to sign")
+    e, l, f, g, n = found
     a, b, c, d, h, u, q, r = prefix[:8]
     return (ParameterTuple(p, e, f, g, l, q, n, r),
             DecompositionTrace(a, b, c, d, h, u, q, r, e, l, f, g, n))

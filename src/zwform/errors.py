@@ -58,13 +58,9 @@ class IdentityViolation(ZwformError):
     """An assembled solution fails x**p - m*y**p == z*w. Always a bug."""
 
 
-class RoundTripMismatch(ZwformError):
-    """A decompose postcondition failed to reproduce its input. Always a bug."""
+class ConstraintViolation(ZwformError):
+    """A recovered tuple fails gcd(e,q) == gcd(l,q) == gcd(n,r) == 1. Always a bug."""
 
 
-class ConstraintViolation(RoundTripMismatch):
-    """A recovered tuple fails gcd(e,q) == gcd(l,q) == gcd(n,r) == 1."""
-
-
-class RegenerateMismatch(RoundTripMismatch):
-    """generate() of a recovered tuple differs from the decomposed solution."""
+class RegenerateMismatch(ZwformError):
+    """generate() of a recovered tuple differs from the decomposed solution. Always a bug."""

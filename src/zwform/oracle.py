@@ -191,30 +191,44 @@ def _batches(bounds: SearchBounds, stats):
         yield m, sols
 
 
+# The Failure category of a round-trip exception, by exact type: any other
+# ZwformError is an EXCEPTION failure, detailed with its type's name.
+_CATEGORIES = {ConstraintViolation: Failure.CONSTRAINT, RegenerateMismatch: Failure.REGENERATE}
+
+
+def _failure(exc: ZwformError) -> tuple[Failure, str]:
+    """The (Failure, detail) of a failures entry for exc."""
+    kind = _CATEGORIES.get(type(exc))
+    if kind is None:
+        return Failure.EXCEPTION, f"{type(exc).__name__}: {exc}"
+    return kind, str(exc)
+
+
 def _roundtrip_chunk(bounds: SearchBounds) -> SearchReport:
     """Worker: round-trip every solution of one m chunk, row by row.
 
     The chunk walks _triples' table in its second order: for each modulus k
     and residue r, each row of classes[k][r] walks its own m progression
     r + j*k within the chunk, and its solutions are the nonzero m whose
-    quotient w is nonzero. The SCAN_COUNTERS come out equal to scan's. The row part
-    runs once, at the row's first solution, and stays in local variables:
-    row_prefix (with the row constants) and the names of the row relations
-    that fail. row_prefix reads its Bezout pairs through a memo of
-    bezout_nonzero made for this chunk alone, so each (v, z) is solved once
-    per chunk however many rows share it, and no state outlives the call.
-    A row that row_prefix refuses makes each of its solutions an
-    EXCEPTION failure, and a failed row relation is a TRACE failure of each
-    of its solutions that decomposes. Per solution, u**p == m*q**p counts
-    as e == 0 (degenerate_e); otherwise m_fields checks the constraints and
-    the regenerate, which implies the identity, and m_relations audits the
-    m relations. scan's rows are theorem grade, so none is re-checked. All
-    of this runs on the fields (x, y, z, m, w) as plain ints; a Solution is
-    built only as the subject of a failures entry, once the failures are
-    sorted into (m, x, y, z) order. TooLarge is a refusal of the whole box,
-    not one solution's failure: the chunk raises the one the first refused
-    solution in (m, x, y, z) order raises, as an m-by-m walk would, and
-    walks no solution past it.
+    quotient w is nonzero. The SCAN_COUNTERS come out equal to scan's. A
+    row's solutions are collected first; a row with none is skipped, and
+    for the rest the row part runs once: row_prefix (with the row
+    constants) and the names of the row relations that fail. row_prefix
+    reads its Bezout pairs through a memo of bezout_nonzero made for this
+    chunk alone, so each (v, z) is solved once per chunk however many rows
+    share it, and no state outlives the call. Then, per solution, m_fields
+    checks the constraints and the regenerate, which implies the identity,
+    and m_relations audits the m relations; a None from m_fields is e == 0
+    (degenerate_e). scan's rows are theorem grade, so none is re-checked.
+    One mapping, _failure, turns an exception of either part into a
+    failures entry: a row that row_prefix refuses makes each of its
+    solutions one, and a failed row relation is a TRACE failure of each of
+    its solutions that decomposes. All of this runs on the fields (x, y, z,
+    m, w) as plain ints; a Solution is built only as the subject of a
+    failures entry, once the failures are sorted into (m, x, y, z) order.
+    TooLarge is a refusal of the whole box, not one solution's failure: the
+    chunk raises the one the first refused solution in (m, x, y, z) order
+    raises, as an m-by-m walk would, and walks no solution past it.
     """
     p, m_min, m_max = bounds.p, bounds.m_min, bounds.m_max
     rows, classes = _triples(bounds.bound, p)
@@ -232,51 +246,41 @@ def _roundtrip_chunk(bounds: SearchBounds) -> SearchReport:
                 # Past a refusal at (m0, i0), only an earlier one can still be
                 # raised: at m < m0, or at m0 in a row before i0.
                 top = m_max if refused is None else min(m_max, refused[0] - (i >= refused[1]))
-                prefix = row_error = None
+                sols = []
                 for m in range(start, top + 1, k):
                     t = xp - m * yp
                     if not t:
                         zero_w += 1
-                        continue
-                    if not m:
-                        continue
-                    found += 1
-                    fields = x, y, z, m, t // z
-                    if prefix is None:
-                        if row_error is None:
-                            try:
-                                prefix = row_prefix(p, x, y, z, bezout)
-                            except TooLarge as exc:
-                                refused = m, i, exc
-                                break
-                            except ZwformError as exc:
-                                row_error = f"{type(exc).__name__}: {exc}"
-                        if row_error is not None:
-                            failed.append((m, i, fields, Failure.EXCEPTION, row_error))
-                            continue
-                        bad_row = row_identities(p, x, y, z, prefix)
-                        up, qp = prefix.up, prefix.qp
-                    if up == m * qp:
-                        degenerate += 1
-                        continue
+                    elif m:
+                        sols.append((x, y, z, m, t // z))
+                if not sols:
+                    continue
+                found += len(sols)
+                try:
+                    prefix = row_prefix(p, x, y, z, bezout)
+                except TooLarge as exc:
+                    refused = sols[0][3], i, exc
+                    continue
+                except ZwformError as exc:
+                    kind, detail = _failure(exc)
+                    failed += [(fields[3], i, fields, kind, detail) for fields in sols]
+                    continue
+                bad_row = row_identities(p, x, y, z, prefix)
+                for fields in sols:
                     try:
                         params = m_fields(p, fields, prefix)
-                    except ConstraintViolation as exc:
-                        failed.append((m, i, fields, Failure.CONSTRAINT, str(exc)))
-                        continue
-                    except RegenerateMismatch as exc:
-                        failed.append((m, i, fields, Failure.REGENERATE, str(exc)))
-                        continue
                     except TooLarge as exc:
-                        refused = m, i, exc
+                        refused = fields[3], i, exc
                         break
                     except ZwformError as exc:
-                        failed.append((m, i, fields, Failure.EXCEPTION,
-                                       f"{type(exc).__name__}: {exc}"))
+                        failed.append((fields[3], i, fields, *_failure(exc)))
                         continue
-                    bad = m_relations(p, fields, prefix, params)
-                    if bad_row or bad:
-                        failed.append((m, i, fields, Failure.TRACE, ",".join(bad_row + bad)))
+                    if params is None:
+                        degenerate += 1
+                        continue
+                    bad = bad_row + m_relations(p, fields, prefix, params)
+                    if bad:
+                        failed.append((fields[3], i, fields, Failure.TRACE, ",".join(bad)))
                     else:
                         success += 1
     if refused is not None:
@@ -344,15 +348,15 @@ def roundtrip_check(bounds: SearchBounds, jobs: int = 1) -> SearchReport:
 
     The solutions are those scan finds, all theorem grade, walked row by
     row; each is decomposed by decomposition.m_fields on its row's
-    row_prefix, computed once per row. Each decomposition is audited:
-    m_fields itself checks that the tuple satisfies the coprimality
-    constraints and regenerates the original through closed_forms, and
-    every relation (row_identities once per row, m_relations per solution)
-    must hold exactly. The work runs on plain ints, with no per-solution
-    Solution, ParameterTuple or trace. Anything short of that is recorded
+    row_prefix, computed once per row that has a solution. Each
+    decomposition is audited: m_fields itself checks that the tuple
+    satisfies the coprimality constraints and regenerates the original
+    through closed_forms, and every relation (row_identities once per row,
+    m_relations per solution) must hold exactly. The work runs on plain
+    ints, with no per-solution Solution, ParameterTuple or trace. Anything short of that is recorded
     in failures under its Failure category, with the Solution as its
-    subject, in (m, x, y, z) order; e == 0 degeneracies are counted
-    separately.
+    subject, in (m, x, y, z) order. The e == 0 degeneracies, where m_fields
+    returns None, are counted separately as degenerate_e.
     """
     report = SearchReport()
     for piece in _run_chunks(_roundtrip_chunk, bounds, jobs):

@@ -582,6 +582,72 @@ class TestRoundtrip:
         assert code == EX_USAGE
 
 
+README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
+
+
+def readme_blocks(lang):
+    """The fenced code blocks of README.md in language lang, each as its lines."""
+    blocks, block = [], None
+    with open(README, encoding="utf-8") as f:
+        for line in f.read().splitlines():
+            if block is None:
+                if line == "```" + lang:
+                    block = []
+            elif line == "```":
+                blocks.append(block)
+                block = None
+            else:
+                block.append(line)
+    return blocks
+
+
+def readme_examples():
+    """Each `$ zwform ...` example of README.md that shows its output, as
+    (argv, the output shown): the lines up to the next `$` or the block's end."""
+    examples = []
+    for block in readme_blocks("sh"):
+        for j, line in enumerate(block):
+            if line.startswith("$ zwform "):
+                shown = []
+                for out in block[j + 1:]:
+                    if out.startswith("$"):
+                        break
+                    shown.append(out)
+                if shown:
+                    examples.append((line[len("$ zwform "):].split(), shown))
+    return examples
+
+
+class TestReadme:
+    """The README's examples give the output that it shows."""
+
+    EXAMPLES = readme_examples()
+
+    def test_examples_found(self):
+        assert [argv[0] for argv, _ in self.EXAMPLES] == [
+            "generate", "decompose", "verify", "roundtrip"]
+
+    @pytest.mark.parametrize("argv, shown", EXAMPLES, ids=[argv[0] for argv, _ in EXAMPLES])
+    def test_example_output(self, capsys, argv, shown):
+        # An example whose shown output ends in "..." is compared up to there.
+        code = run(argv)
+        out = capsys.readouterr().out
+        assert code == EX_OK
+        expected = "".join(line + "\n" for line in shown)
+        if expected.endswith("...\n"):
+            expected = expected[:-len("...\n")]
+            assert out.startswith(expected) and len(out) > len(expected)
+        else:
+            assert out == expected
+
+    def test_library_snippet(self):
+        # The snippet asserts its own round trip, and a comment line shows sol's repr.
+        (snippet,) = readme_blocks("python")
+        namespace = {}
+        exec("\n".join(snippet), namespace)
+        assert "# " + repr(namespace["sol"]) in snippet
+
+
 class TestJsonLayout:
     """The raw JSON bytes of every record kind: key order, separators, strings."""
 

@@ -100,7 +100,7 @@ class TestResiduals:
     def test_residual_g(self):
         assert residual_g(2, 4, -3, 2) == 0
         assert residual_g(-1, 2, 1, 3) == -3
-        # m_fields raises DegenerateE before it would divide by e == 0.
+        # m_fields returns None at e == 0 before it would divide by it.
         with pytest.raises(ZeroDivisionError):
             residual_g(1, 1, 0, 2)
 
@@ -176,8 +176,11 @@ class TestDecompose:
     def test_degenerate_after_row_prefix(self):
         # The row part succeeds; e == 0 is met in the m step. At |q| == 1,
         # l is 0, and so is l**(p-1)*r.
-        assert row_prefix(2, 3, 2, 1) == RowPrefix(1, 2, 1, 1, 1, 1, 1, -1, l=0, up=1, qp=1, lr=0)
-        with pytest.raises(DegenerateE):
+        # m_fields returns None there, and decompose raises DegenerateE.
+        prefix = row_prefix(2, 3, 2, 1)
+        assert prefix == RowPrefix(1, 2, 1, 1, 1, 1, 1, -1, l=0, up=1, qp=1, lr=0)
+        assert m_fields(2, (3, 2, 1, 1, 5), prefix) is None
+        with pytest.raises(DegenerateE, match="is a p-th power up to sign"):
             decompose(Solution(2, 3, 2, 1, 1, 5))
 
     def test_rejects_zero_component(self):

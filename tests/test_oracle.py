@@ -448,18 +448,14 @@ class TestRowCache:
             row = (sol.x, sol.y, sol.z)
             if row not in prefixes:
                 prefixes[row] = row_prefix(sol.p, *row)
-            fields = (sol.x, sol.y, sol.z, sol.m, sol.w)
-            try:
-                found = m_fields(sol.p, fields, prefixes[row])
-            except DegenerateE:
-                found = DegenerateE
+            found = m_fields(sol.p, (sol.x, sol.y, sol.z, sol.m, sol.w), prefixes[row])
             try:
                 direct = decompose(sol)
             except DegenerateE:
                 direct = DegenerateE
-            if direct is DegenerateE:
-                assert found is DegenerateE, sol
-            else:
+            # m_fields finds e == 0 exactly where decompose raises DegenerateE.
+            assert (found is None) == (direct is DegenerateE), sol
+            if direct is not DegenerateE:
                 tup, trace = direct
                 assert found == (tup.e, tup.l, tup.f, tup.g, tup.n), sol
                 assert prefixes[row][:8] == (trace.a, trace.b, trace.c, trace.d, trace.h,
@@ -471,7 +467,7 @@ class TestRowCache:
 
 
 class TestWorkDoneOnce:
-    """A round trip solves each Bezout pair once per chunk."""
+    """A round trip solves each Bezout pair and runs each row part once per chunk."""
 
     @pytest.mark.parametrize("jobs", [1, 3])
     def test_one_bezout_pair_per_v_and_z(self, monkeypatch, jobs):
@@ -497,6 +493,39 @@ class TestWorkDoneOnce:
         assert sorted(solved) == sorted(expected)
         if jobs == 1:
             assert len(solved) == 252
+
+    @pytest.mark.parametrize("jobs", [1, 3])
+    def test_row_part_once_per_row(self, monkeypatch, jobs):
+        # A chunk collects each row's solutions first and runs the row part
+        # once on each row with one; a row with no solution in the chunk
+        # runs none of it.
+        calls = {"row_prefix": [], "row_identities": []}
+
+        def counted(name):
+            real = getattr(oracle, name)
+
+            def call(p, x, y, z, *rest):
+                calls[name].append((x, y, z))
+                return real(p, x, y, z, *rest)
+            return call
+
+        for name in calls:
+            monkeypatch.setattr(oracle, name, counted(name))
+        # An m range shorter than the bound leaves rows of large |z| without a solution.
+        bounds = SearchBounds(3, 8, -3, 3)
+        pools = fake_pool(monkeypatch)
+        report = roundtrip_check(bounds, jobs=jobs)
+        assert report.failures == [] and report.decompose_success > 0
+        parts = pools[0].chunks if pools else [bounds]
+        assert len(parts) == jobs
+        rows = len(oracle._triples(bounds.bound, bounds.p)[0])
+        expected = []
+        for part in parts:
+            with_solution = {(sol.x, sol.y, sol.z) for sol in enumerate_solutions(part)}
+            assert 0 < len(with_solution) < rows
+            expected += with_solution
+        for seen in calls.values():
+            assert sorted(seen) == sorted(expected)
 
 
 class TestRefusalOrder:
