@@ -53,7 +53,7 @@ from .errors import (
     RegenerateMismatch,
 )
 from .parametrization import (
-    ParameterTuple, Solution, _telescoped, gcd_constraints_hold, theorem_grade_flags,
+    ParameterTuple, Solution, closed_forms, gcd_constraints_hold, theorem_grade_flags,
 )
 
 
@@ -173,10 +173,13 @@ def row_prefix(p: int, x: int, y: int, z: int, bezout=bezout_nonzero) -> RowPref
     Requires x, y, z pairwise coprime (bezout_nonzero raises NotCoprime
     otherwise). The pairs are bezout(x, z) and bezout(y, z); a caller that
     walks many rows of one z passes a memo of bezout_nonzero, so that each
-    (v, z) is solved once. TooLarge is raised when the p-th power of u or q
-    would pass MAX_POWER_BITS, before either is taken. l = z * u**(1-p) mod
-    |q|, or 0 at |q| == 1, is split_u's l for every m of the row.
+    (v, z) is solved once. TooLarge is raised, before the power is taken,
+    when the p-th power of x or y would pass MAX_POWER_BITS (the refusal
+    that decompose's identity check makes on each solution of the row),
+    then when that of u or q would. l = z * u**(1-p) mod |q|, or 0 at
+    |q| == 1, is split_u's l for every m of the row.
     """
+    _check_powers(p, x, y)
     a, b = bezout(x, z)
     c, d = bezout(y, z)
     h, q, u, r = line_coeffs(a, b, c, d)
@@ -196,14 +199,14 @@ def m_fields(p: int, fields: tuple, prefix: RowPrefix) -> tuple[int, int, int, i
     for that case, on which decompose raises DegenerateE and the round trip
     counts degenerate_e. Postconditions checked before returning: the three
     coprimality constraints gcd(e,q) == gcd(l,q) == gcd(n,r) == 1
-    (gcd_constraints_hold), and that closed_forms' arithmetic on the tuple
-    reproduces fields. That regenerate is _telescoped, closed_forms without
-    its gcd(e, q) and gcd(l, q) tests, which gcd_constraints_hold has just
-    passed, so a solution takes three gcds. A violation raises
-    ConstraintViolation or RegenerateMismatch and means a bug, not bad
-    input. TooLarge is raised before g and n are computed when the p-th
-    power of e or f would pass MAX_POWER_BITS. The Solution and
-    ParameterTuple that the messages name are built only to raise.
+    (gcd_constraints_hold), and that closed_forms on the tuple reproduces
+    fields. closed_forms requires gcd(e, q) == gcd(l, q) == 1 and does not
+    test it; gcd_constraints_hold has just passed it, so a solution takes
+    three gcds. A violation raises ConstraintViolation or RegenerateMismatch
+    and means a bug, not bad input. TooLarge is raised before g and n are
+    computed when the p-th power of e or f would pass MAX_POWER_BITS. The
+    Solution and ParameterTuple that the messages name are built only to
+    raise.
     """
     x, y, z, m, w = fields
     _, _, _, _, _, u, q, r, l, up, qp, lr = prefix
@@ -228,7 +231,7 @@ def m_fields(p: int, fields: tuple, prefix: RowPrefix) -> tuple[int, int, int, i
     if not gcd_constraints_hold(e, l, q, n, r):
         raise ConstraintViolation(
             f"coprimality postcondition failed for {ParameterTuple(p, e, f, g, l, q, n, r)}")
-    regen = _telescoped(p, e, f, g, l, q, n, r)
+    regen = closed_forms(p, e, f, g, l, q, n, r)
     if regen != (x, y, z, m, w):
         raise RegenerateMismatch(f"generate({ParameterTuple(p, e, f, g, l, q, n, r)}) gave "
                                  f"{Solution(p, *regen)}, expected {Solution(p, x, y, z, m, w)}")
@@ -241,7 +244,10 @@ def decompose(sol: Solution) -> tuple[ParameterTuple, DecompositionTrace]:
     Refuses a solution that is not theorem grade with NotTheoremGrade, naming
     the first hypothesis it fails, then runs m_fields on row_prefix of its
     row; see those two for the postconditions and the TooLarge refusals.
-    Raises DegenerateE where m_fields finds e == 0.
+    The theorem-grade check takes x**p and y**p, so a solution whose x or y
+    has a p-th power past MAX_POWER_BITS is refused with TooLarge
+    (Solution.identity_holds) before any of it runs. Raises DegenerateE
+    where m_fields finds e == 0.
     """
     flags = theorem_grade_flags(sol)
     if not flags["nonzero"]:

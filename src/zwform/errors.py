@@ -31,10 +31,6 @@ class ZeroZ(ZwformError):
     """The closed form for z evaluates to 0, so w is undefined."""
 
 
-class WrongExponent(ZwformError):
-    """An operation restricted to one exponent was called with another."""
-
-
 class NotCoprime(ZwformError):
     """Inputs required to be coprime are not."""
 

@@ -438,10 +438,13 @@ def identity_fuzz(p: int, limit: int, count: int, seed: int) -> SearchReport:
     generate nothing. For the rest, an error from either side is an
     EXCEPTION failure, and fields that differ from the reference's in any
     of x, y, z, m and w are a REFERENCE failure whose detail names them.
-    The generate side is closed_forms, generate's arithmetic and checks, on
-    plain ints: no Solution is built for it. Before any tuple is sampled, a
-    fuzz whose reference sums would pass MAX_REFERENCE_BITS is refused with
-    TooLarge; a count of 0 samples nothing and is never refused.
+    The generate side is closed_forms, generate's evaluator, on plain ints:
+    no Solution is built for it. Its gcd precondition holds, as every
+    sampled tuple is coprime and the reference raises NotCoprime first on
+    any that is not; a fuzz within MAX_REFERENCE_BITS samples no tuple past
+    generate's power budget. Before any tuple is sampled, a fuzz whose
+    reference sums would pass MAX_REFERENCE_BITS is refused with TooLarge;
+    a count of 0 samples nothing and is never refused.
     """
     cost = p * p * p * (2 * limit.bit_length() - 1)
     if count > 0 and cost > MAX_REFERENCE_BITS:

@@ -18,9 +18,12 @@ gcd(e, q) == gcd(l, q) == 1 the division defining w is exact, because z is
 then coprime to q.
 
 ``closed_forms`` evaluates the telescoped equivalents of the three sums on
-plain ints, and ``generate`` wraps it for a ParameterTuple. The z sum is the
-binomial expansion of u**p with its k == p term removed, divided by e; the
-line relation q*x == u*y - z*r gives x, and the defining identity gives w:
+plain ints; it is the one evaluator, and ``generate`` runs it on a
+ParameterTuple once the tuple has passed generate's own checks: the power
+budget (TooLarge) and the two coprimality constraints (NotCoprime). The z
+sum is the binomial expansion of u**p with its k == p term removed, divided
+by e; the line relation q*x == u*y - z*r gives x, and the defining identity
+gives w:
 
     z = (u**p - (f*q)**p) / e + g*q**p      (p*l*(f*q)**(p-1) + g*q**p at e == 0)
     x = (u*y - z*r) / q
@@ -41,8 +44,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb, gcd
 
-from .exact_arith import exact_div, is_prime
-from .errors import IdentityViolation, NotCoprime, WrongExponent, ZeroZ
+from .exact_arith import _check_powers, exact_div, is_prime
+from .errors import IdentityViolation, NotCoprime, ZeroZ
 
 
 @dataclass
@@ -100,6 +103,12 @@ class Solution:
             raise ValueError(f"p must be prime, got {self.p}")
 
     def identity_holds(self) -> bool:
+        """x**p - m*y**p == z*w, exactly.
+
+        Raises TooLarge, before either power is taken, when the p-th power
+        of x or y would pass MAX_POWER_BITS.
+        """
+        _check_powers(self.p, self.x, self.y)
         return self.x ** self.p - self.m * self.y ** self.p == self.z * self.w
 
 
@@ -107,7 +116,9 @@ def theorem_grade_flags(sol: Solution) -> dict[str, bool]:
     """The hypotheses under which decomposition is guaranteed to work, by name.
 
     generate() itself can emit solutions that fail them (zero or
-    non-coprime fields are fine in the forward direction).
+    non-coprime fields are fine in the forward direction). The identity is
+    identity_holds', so a solution whose x or y has a p-th power past
+    MAX_POWER_BITS raises TooLarge, here and in is_theorem_grade.
     """
     return {
         "identity": sol.identity_holds(),
@@ -174,24 +185,13 @@ def closed_forms(p: int, e: int, f: int, g: int, l: int, q: int, n: int,
                  r: int) -> tuple[int, int, int, int, int]:
     """The telescoped closed forms on plain ints: (x, y, z, m, w).
 
-    The arithmetic of generate, for a prime p and q != 0, with its checks in
-    the same order and its messages, which name the ParameterTuple; that
-    object is built only to raise. The two NotCoprime checks come first,
-    then _telescoped runs the arithmetic and its checks.
-    """
-    if gcd(e, q) != 1:
-        raise NotCoprime(f"gcd(e, q) = gcd({e}, {q}) != 1")
-    if gcd(l, q) != 1:
-        raise NotCoprime(f"gcd(l, q) = gcd({l}, {q}) != 1")
-    return _telescoped(p, e, f, g, l, q, n, r)
-
-
-def _telescoped(p: int, e: int, f: int, g: int, l: int, q: int, n: int,
-                r: int) -> tuple[int, int, int, int, int]:
-    """closed_forms past its NotCoprime checks, for a caller that has made them.
-
-    Requires gcd(e, q) == gcd(l, q) == 1, which it does not test. Raises
-    IdentityViolation on a remainder and ZeroZ, as closed_forms does.
+    For a prime p, q != 0 and gcd(e, q) == gcd(l, q) == 1, a precondition
+    that it does not test: generate tests it, and decomposition.m_fields has
+    tested it as part of gcd_constraints_hold. Nor does it check the power
+    budget, which generate checks before calling it. Raises ZeroZ when z is
+    0; a remainder in any of its three divisions is a bug, or a broken
+    precondition, and raises IdentityViolation. The messages name the
+    ParameterTuple, which is built only to raise.
     """
     fq = f * q
     u = e * l + fq
@@ -218,13 +218,22 @@ def _telescoped(p: int, e: int, f: int, g: int, l: int, q: int, n: int,
 def generate(t: ParameterTuple) -> Solution:
     """Evaluate the telescoped closed forms and return the resulting Solution.
 
-    Requires gcd(e, q) == gcd(l, q) == 1 (NotCoprime otherwise) and a nonzero
-    z (ZeroZ otherwise). The three divisions are exact by the algebra above;
-    a remainder there is a bug, not an input problem, and raises
-    IdentityViolation. The arithmetic is closed_forms'. Agrees field by
-    field with generate_reference wherever either is defined.
+    Checks its input first, in this order. TooLarge: the power budget, before
+    any power is taken. The arithmetic raises u = e*l + f*q, f*q, q and f to
+    p, l to p - 1 and e to p - 2, so all six are checked as p-th powers.
+    NotCoprime: gcd(e, q) == gcd(l, q) == 1. Then closed_forms evaluates the
+    tuple, raising ZeroZ when z is 0. The three divisions are exact by the
+    algebra above; a remainder there is a bug, not an input problem, and
+    raises IdentityViolation. Agrees field by field with generate_reference
+    wherever either is defined.
     """
-    return Solution(t.p, *closed_forms(t.p, t.e, t.f, t.g, t.l, t.q, t.n, t.r))
+    p, e, f, g, l, q, n, r = t.p, t.e, t.f, t.g, t.l, t.q, t.n, t.r
+    _check_powers(p, e, f, l, q, f * q, e * l + f * q)
+    if gcd(e, q) != 1:
+        raise NotCoprime(f"gcd(e, q) = gcd({e}, {q}) != 1")
+    if gcd(l, q) != 1:
+        raise NotCoprime(f"gcd(l, q) = gcd({l}, {q}) != 1")
+    return Solution(p, *closed_forms(p, e, f, g, l, q, n, r))
 
 
 def generate_reference(t: ParameterTuple) -> Solution:
@@ -261,10 +270,11 @@ def dickson_p2(t: ParameterTuple) -> Solution:
     w = e*n**2 - 2*f*n*r + g*r**2
 
     Serves as an oracle for the p == 2 specialization of generate(); the two
-    must agree field by field wherever generate() is defined.
+    must agree field by field wherever generate() is defined. Raises
+    ValueError for any other p.
     """
     if t.p != 2:
-        raise WrongExponent(f"dickson_p2 is only defined for p == 2, got p={t.p}")
+        raise ValueError(f"dickson_p2 is only defined for p == 2, got p={t.p}")
     e, f, g, l, q, n, r = t.e, t.f, t.g, t.l, t.q, t.n, t.r
     x = e * l * n + f * n * q - f * l * r - g * q * r
     y = n * q + l * r

@@ -7,7 +7,7 @@ import math
 import pytest
 
 import zwform
-from zwform import decomposition, parametrization
+from zwform import decomposition, exact_arith, parametrization
 from zwform.decomposition import (
     ROW_RELATIONS,
     DecompositionTrace,
@@ -25,7 +25,7 @@ from zwform.decomposition import (
     split_u,
     trace_identities,
 )
-from zwform.errors import DegenerateE, NotCoprime, NotDivisible, NotTheoremGrade
+from zwform.errors import DegenerateE, NotCoprime, NotDivisible, NotTheoremGrade, TooLarge
 from zwform.oracle import SearchBounds, enumerate_solutions
 from zwform.parametrization import ParameterTuple, Solution, generate
 
@@ -196,6 +196,30 @@ class TestDecompose:
     def test_rejects_identity_violation(self):
         with pytest.raises(NotTheoremGrade):
             decompose(Solution(2, 1, 2, 5, -1, 2))
+
+    @pytest.mark.parametrize("sol", [Solution(3, 1025, 1, 1, 1, 1025**3 - 1),
+                                     Solution(3, 1, 1025, 1, 1, 1 - 1025**3)], ids=["x", "y"])
+    def test_refuses_large_x_or_y_before_row_prefix(self, monkeypatch, sol):
+        # The solution is theorem grade, but under a 20-bit budget the cube
+        # of 1025 (at least 30 bits) is refused by the identity check.
+        monkeypatch.setattr(exact_arith, "MAX_POWER_BITS", 20)
+        calls = []
+        monkeypatch.setattr(decomposition, "row_prefix", lambda *args: calls.append(args))
+        with pytest.raises(TooLarge, match="MAX_POWER_BITS = 20"):
+            decompose(sol)
+        assert calls == []
+
+    def test_row_prefix_refuses_large_x_or_y_first(self, monkeypatch):
+        # decompose refuses such a row in its identity check; row_prefix
+        # makes the same refusal before its Bezout pairs.
+        monkeypatch.setattr(exact_arith, "MAX_POWER_BITS", 20)
+        calls = []
+        with pytest.raises(TooLarge) as caught:
+            row_prefix(3, 1025, 1, 1, bezout=lambda v, z: calls.append((v, z)))
+        assert calls == []
+        with pytest.raises(TooLarge) as refused:
+            decompose(Solution(3, 1025, 1, 1, 1, 1025**3 - 1))
+        assert str(caught.value) == str(refused.value)
 
     def test_first_failed_hypothesis_is_reported(self):
         # Nonzero is checked first, then coprimality, then the identity.

@@ -328,10 +328,10 @@ class TestFailureCategories:
 
     INJECTIONS = [
         (Failure.CONSTRAINT, decomposition, "gcd_constraints_hold", lambda *args: False),
-        (Failure.REGENERATE, decomposition, "_telescoped",
-         _w_plus_one(parametrization._telescoped)),
+        (Failure.REGENERATE, decomposition, "closed_forms",
+         _w_plus_one(parametrization.closed_forms)),
         (Failure.TRACE, oracle, "m_relations", _one_false),
-        (Failure.EXCEPTION, decomposition, "_telescoped", _not_divisible),
+        (Failure.EXCEPTION, decomposition, "closed_forms", _not_divisible),
     ]
     INJECTION_IDS = ["constraint", "regenerate", "trace", "exception"]
 
@@ -419,7 +419,7 @@ class TestRowCache:
     @pytest.mark.parametrize("target, name, fake", [
         (decomposition, "row_identities", _line_false_where_x_positive),
         (decomposition, "m_relations", _one_false),
-        (decomposition, "_telescoped", _not_divisible),
+        (decomposition, "closed_forms", _not_divisible),
         (decomposition, "line_coeffs", _line_coeffs_refused_where_a_positive_c_negative),
     ], ids=["row_relation", "m_relation", "exception", "row_exception"])
     def test_injected_failures_match_reference(self, monkeypatch, target, name, fake):

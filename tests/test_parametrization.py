@@ -3,12 +3,14 @@
 import collections
 import dataclasses
 import math
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from zwform.decomposition import decompose
-from zwform.errors import DegenerateE, NotCoprime, WrongExponent, ZeroZ, ZwformError
+from zwform import exact_arith, parametrization
+from zwform.errors import DegenerateE, NotCoprime, TooLarge, ZeroZ, ZwformError
 from zwform.oracle import SearchBounds, enumerate_solutions, sample_tuples
 from zwform.parametrization import (
     ParameterTuple,
@@ -22,6 +24,7 @@ from zwform.parametrization import (
     generate,
     generate_reference,
     is_theorem_grade,
+    theorem_grade_flags,
 )
 
 PRIMES = (2, 3, 5, 7)
@@ -100,7 +103,7 @@ def outcome(call, *args):
 
 
 class TestClosedForms:
-    """The int-level closed_forms against generate, its ParameterTuple wrapper."""
+    """The int-level closed_forms against generate, which checks its input first."""
 
     def test_agrees_with_generate(self):
         seen = collections.Counter()
@@ -109,15 +112,62 @@ class TestClosedForms:
                 # Scaling e or l by q breaks a coprimality constraint when |q| > 1.
                 for u in (t, dataclasses.replace(t, e=t.e * t.q),
                           dataclasses.replace(t, l=t.l * t.q)):
-                    got = outcome(closed_forms, u.p, u.e, u.f, u.g, u.l, u.q, u.n, u.r)
                     want = outcome(generate, u)
-                    if isinstance(want, Solution):
-                        assert Solution(u.p, *got) == want, u
-                        seen[Solution] += 1
-                    else:
-                        assert got == want, u
-                        seen[want[0]] += 1
+                    kind = Solution if isinstance(want, Solution) else want[0]
+                    seen[kind] += 1
+                    if kind is NotCoprime:
+                        # generate alone tests closed_forms' gcd precondition.
+                        assert not (math.gcd(u.e, u.q) == math.gcd(u.l, u.q) == 1), u
+                        continue
+                    got = outcome(closed_forms, u.p, u.e, u.f, u.g, u.l, u.q, u.n, u.r)
+                    assert (Solution(u.p, *got) if kind is Solution else got) == want, u
         assert seen[Solution] > 1000 and seen[ZeroZ] > 100 and seen[NotCoprime] > 100
+
+
+class TestPowerBudget:
+    """generate and the identity refuse a p-th power past MAX_POWER_BITS before taking it."""
+
+    HUGE_P = 1000000000000000003
+
+    def test_generate_refuses_before_closed_forms(self, monkeypatch):
+        # e*l + f*q = 1025 has 11 bits: its cube has at least 30, past 20.
+        monkeypatch.setattr(exact_arith, "MAX_POWER_BITS", 20)
+        calls = []
+        real = parametrization.closed_forms
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(parametrization, "closed_forms", counted)
+        for t in (ParameterTuple(3, 1024, 1, 1, 1, 1, 1, 1),
+                  ParameterTuple(3, 1, 1, 1, 1024, 1, 1, 1)):
+            with pytest.raises(TooLarge, match="MAX_POWER_BITS = 20"):
+                generate(t)
+        # TooLarge comes before NotCoprime: gcd(e, q) is 2 here.
+        with pytest.raises(TooLarge):
+            generate(ParameterTuple(3, 1024, 1, 1, 1, 2, 1, 1))
+        assert calls == []
+        assert generate(ParameterTuple(3, 1, 0, 1, 1, 1, 1, 0)) == Solution(3, 1, 1, 2, -1, 1)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("sol", [Solution(3, 1025, 1, 1, 1, 1025**3 - 1),
+                                     Solution(3, 1, 1025, 1, 1, 1 - 1025**3)], ids=["x", "y"])
+    def test_identity_refuses_large_x_or_y(self, monkeypatch, sol):
+        monkeypatch.setattr(exact_arith, "MAX_POWER_BITS", 20)
+        for check in (Solution.identity_holds, theorem_grade_flags, is_theorem_grade):
+            with pytest.raises(TooLarge, match="MAX_POWER_BITS = 20"):
+                check(sol)
+
+    def test_huge_p_is_refused_quickly(self):
+        # At p = 10**18 + 3, 2**p has about 10**18 bits; |v| <= 1 would pass.
+        start = time.perf_counter()
+        with pytest.raises(TooLarge):
+            generate(ParameterTuple(self.HUGE_P, 2, 1, 1, 1, 1, 1, 1))
+        for call in (decompose, is_theorem_grade):
+            with pytest.raises(TooLarge):
+                call(Solution(self.HUGE_P, 2, 1, 1, 1, 1))
+        assert time.perf_counter() - start < 1
 
 
 def assert_matches_reference(t):
@@ -172,7 +222,7 @@ class TestDickson:
         assert sol == Solution(2, 0, 1, 1, -1, 1)
 
     def test_rejects_other_primes(self):
-        with pytest.raises(WrongExponent):
+        with pytest.raises(ValueError, match="only defined for p == 2"):
             dickson_p2(ParameterTuple(3, 1, 0, 1, 0, 1, 1, 0))
 
     def test_agrees_with_generate_on_grid(self):
