@@ -1,11 +1,12 @@
 """Integral solutions of x**p - m*y**p == z*w, constructively.
 
-For any prime p, a seven-parameter family of closed forms produces
-solutions in integers, and every solution with x, y, z pairwise coprime
-and all of x, y, z, m, w nonzero arises that way: `decompose` recovers a
-parameter tuple from such a solution and `generate` maps it back. The
-`oracle` module supplies box enumeration and batch verification,
-and `cli` wraps everything in a command line tool.
+For any integer exponent p >= 2, a seven-parameter family of closed forms
+produces solutions in integers, and every solution with x, y, z pairwise
+coprime and all of x, y, z, m, w nonzero arises that way: `decompose`
+recovers a parameter tuple from such a solution and `generate` maps it
+back. (The source paper states this for prime p; neither direction uses
+primality.) The `oracle` module supplies box enumeration and batch
+verification, and `cli` wraps everything in a command line tool.
 """
 
 from .decomposition import (
@@ -36,7 +37,7 @@ from .errors import (
     ZeroZ,
     ZwformError,
 )
-from .exact_arith import exact_div, extgcd, is_prime
+from .exact_arith import exact_div, extgcd
 from .oracle import (
     Failure,
     SearchBounds,
@@ -102,7 +103,6 @@ __all__ = [
     "generate",
     "generate_reference",
     "identity_fuzz",
-    "is_prime",
     "is_theorem_grade",
     "line_coeffs",
     "m_fields",

@@ -12,7 +12,7 @@ Exit codes follow sysexits where it has an opinion:
     0   success
     1   internal error (a bug in this package, or a failed self-check)
     2   domain error (well-formed input outside the math's domain)
-    64  usage error (malformed command line, composite or too large --p)
+    64  usage error (malformed command line, --p below 2)
     74  output file could not be written
 """
 
@@ -26,7 +26,7 @@ import sys
 
 from .decomposition import decompose
 from .errors import DegenerateE, NotCoprime, NotTheoremGrade, TooLarge, ZeroZ
-from .exact_arith import _check_powers, is_prime
+from .exact_arith import _check_powers
 from .oracle import (
     SCAN_COUNTERS, SearchBounds, SearchReport, _run_chunks, identity_fuzz, roundtrip_check, scan,
 )
@@ -120,17 +120,13 @@ def _fail(name: str, detail: str, fmt: str, code: int) -> int:
     return code
 
 
-def _prime_arg(text: str) -> int:
+def _exponent_arg(text: str) -> int:
     try:
         p = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
-    try:
-        prime = is_prime(p)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"too large: {exc}")
-    if not prime:
-        raise argparse.ArgumentTypeError(f"must be prime, got {p}")
+    if p < 2:
+        raise argparse.ArgumentTypeError(f"must be >= 2, got {p}")
     return p
 
 
@@ -302,7 +298,7 @@ def _build_parser() -> _Parser:
     fmt_parent.add_argument("--format", choices=("text", "json"), default="text",
                             help="record format (default: text)")
     p_parent = _Parser(add_help=False)
-    p_parent.add_argument("--p", type=_prime_arg, required=True, help="prime exponent")
+    p_parent.add_argument("--p", type=_exponent_arg, required=True, help="exponent, >= 2")
     solution_parent = _Parser(add_help=False)
     for name in ("x", "y", "z", "m"):
         solution_parent.add_argument(f"--{name}", type=int, required=True)

@@ -58,43 +58,3 @@ def _check_powers(p: int, *values: int) -> None:
         raise TooLarge(f"the p-th power of a {width}-bit input has at least {bits} bits, "
                        f"more than MAX_POWER_BITS = {MAX_POWER_BITS}")
 
-
-# The first 13 primes: as Miller-Rabin bases they decide primality for every
-# n below _MR_LIMIT (Sorenson & Webster 2015); the smallest strong
-# pseudoprime to all of them is _MR_LIMIT itself.
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-_MR_LIMIT = 3317044064679887385961981
-_SMALL_PRIMES = frozenset(_MR_BASES)
-
-
-def is_prime(n: int) -> bool:
-    """Deterministic primality check, used to validate exponents.
-
-    The common small exponents are looked up among the first 13 primes.
-    Past them, trial division by those primes decides every n < 43**2,
-    and Miller-Rabin with them as bases every n < 3.3 * 10**24. A larger n
-    without a small factor raises ValueError rather than be guessed at.
-    """
-    if n <= 41:
-        return n in _SMALL_PRIMES
-    for b in _MR_BASES:
-        if n % b == 0:
-            return False
-    if n < 43 * 43:
-        return True
-    if n >= _MR_LIMIT:
-        raise ValueError(f"primality of {n} is not decided above {_MR_LIMIT}")
-    d = n - 1
-    s = (d & -d).bit_length() - 1
-    d >>= s
-    for a in _MR_BASES:
-        x = pow(a, d, n)
-        if x == 1 or x == n - 1:
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True

@@ -28,7 +28,6 @@ from math import gcd
 
 from .decomposition import bezout_nonzero, m_fields, m_relations, row_identities, row_prefix
 from .errors import ConstraintViolation, RegenerateMismatch, TooLarge, ZeroZ, ZwformError
-from .exact_arith import is_prime
 from .parametrization import ParameterTuple, Solution, closed_forms, generate_reference
 
 
@@ -42,8 +41,8 @@ class SearchBounds:
     m_max: int
 
     def __post_init__(self):
-        if not is_prime(self.p):
-            raise ValueError(f"p must be prime, got {self.p}")
+        if self.p < 2:
+            raise ValueError(f"p must be >= 2, got {self.p}")
         if self.bound < 1:
             raise ValueError(f"bound must be >= 1, got {self.bound}")
         if self.m_min > self.m_max:

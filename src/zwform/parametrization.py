@@ -1,7 +1,9 @@
 """Closed-form generation of solutions to x**p - m*y**p == z*w.
 
-For a prime p, seven integers (e, f, g, l, q, n, r) with q != 0 determine a
-solution of the equation. The paper writes the five fields as
+For an integer p >= 2, seven integers (e, f, g, l, q, n, r) with q != 0
+determine a solution of the equation. The paper states this for prime p,
+but no step here or in decomposition uses primality. The paper writes
+the five fields as
 
     y = n*q + e**(p-2) * l**(p-1) * r
     m = f**p - e*g
@@ -44,13 +46,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb, gcd
 
-from .exact_arith import _check_powers, exact_div, is_prime
+from .exact_arith import MAX_POWER_BITS, _check_powers, exact_div
 from .errors import IdentityViolation, NotCoprime, ZeroZ
 
 
 @dataclass
 class ParameterTuple:
-    """A prime exponent p and the seven generating integers.
+    """An exponent p >= 2 and the seven generating integers.
 
     q must be nonzero; any other component may be zero. The coprimality
     constraints gcd(e,q) == gcd(l,q) == gcd(n,r) == 1 are required of tuples
@@ -68,8 +70,8 @@ class ParameterTuple:
     r: int
 
     def __post_init__(self):
-        if not is_prime(self.p):
-            raise ValueError(f"p must be prime, got {self.p}")
+        if self.p < 2:
+            raise ValueError(f"p must be >= 2, got {self.p}")
         if self.q == 0:
             raise ValueError("q must be nonzero")
 
@@ -88,7 +90,7 @@ class Solution:
     """One instance (p, x, y, z, m, w) of x**p - m*y**p == z*w.
 
     The identity itself is not enforced at construction (use
-    ``identity_holds`` or ``is_theorem_grade``), only that p is prime.
+    ``identity_holds`` or ``is_theorem_grade``), only that p >= 2.
     """
 
     p: int
@@ -99,8 +101,8 @@ class Solution:
     w: int
 
     def __post_init__(self):
-        if not is_prime(self.p):
-            raise ValueError(f"p must be prime, got {self.p}")
+        if self.p < 2:
+            raise ValueError(f"p must be >= 2, got {self.p}")
 
     def identity_holds(self) -> bool:
         """x**p - m*y**p == z*w, exactly.
@@ -185,13 +187,15 @@ def closed_forms(p: int, e: int, f: int, g: int, l: int, q: int, n: int,
                  r: int) -> tuple[int, int, int, int, int]:
     """The telescoped closed forms on plain ints: (x, y, z, m, w).
 
-    For a prime p, q != 0 and gcd(e, q) == gcd(l, q) == 1, a precondition
+    For p >= 2, q != 0 and gcd(e, q) == gcd(l, q) == 1, a precondition
     that it does not test: generate tests it, and decomposition.m_fields has
     tested it as part of gcd_constraints_hold. Nor does it check the power
-    budget, which generate checks before calling it. Raises ZeroZ when z is
-    0; a remainder in any of its three divisions is a bug, or a broken
-    precondition, and raises IdentityViolation. The messages name the
-    ParameterTuple, which is built only to raise.
+    budget of its arguments, which generate checks before calling it. It
+    does check x and y, which it computes: TooLarge before w takes their
+    p-th powers. Raises ZeroZ when z is 0; a remainder in any of its three
+    divisions is a bug, or a broken precondition, and raises
+    IdentityViolation. The messages name the ParameterTuple, which is built
+    only to raise.
     """
     fq = f * q
     u = e * l + fq
@@ -208,6 +212,9 @@ def closed_forms(p: int, e: int, f: int, g: int, l: int, q: int, n: int,
     y = n * q + e ** (p - 2) * l ** (p - 1) * r
     m = f ** p - e * g
     x, x_rem = divmod(u * y - z * r, q)
+    # w raises x and y to p: _check_powers' test, inline, refuses them first.
+    if p * ((abs(x) | abs(y)).bit_length() - 1) > MAX_POWER_BITS:
+        _check_powers(p, x, y)
     w, w_rem = divmod(x ** p - m * y ** p, z)
     if x_rem or w_rem:
         raise IdentityViolation(f"inexact closed-form division in generate("
@@ -222,10 +229,11 @@ def generate(t: ParameterTuple) -> Solution:
     any power is taken. The arithmetic raises u = e*l + f*q, f*q, q and f to
     p, l to p - 1 and e to p - 2, so all six are checked as p-th powers.
     NotCoprime: gcd(e, q) == gcd(l, q) == 1. Then closed_forms evaluates the
-    tuple, raising ZeroZ when z is 0. The three divisions are exact by the
-    algebra above; a remainder there is a bug, not an input problem, and
-    raises IdentityViolation. Agrees field by field with generate_reference
-    wherever either is defined.
+    tuple, raising ZeroZ when z is 0, and TooLarge when x or y, which it
+    computes, has a p-th power past the budget. The three divisions are
+    exact by the algebra above; a remainder there is a bug, not an input
+    problem, and raises IdentityViolation. Agrees field by field with
+    generate_reference wherever either is defined.
     """
     p, e, f, g, l, q, n, r = t.p, t.e, t.f, t.g, t.l, t.q, t.n, t.r
     _check_powers(p, e, f, l, q, f * q, e * l + f * q)

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from zwform.cli import EX_OK, run
-from zwform.oracle import Failure, SearchBounds, roundtrip_check, sample_tuples
+from zwform.oracle import Failure, SearchBounds, identity_fuzz, roundtrip_check, sample_tuples
 from zwform.parametrization import (
     ParameterTuple,
     brahmagupta_compose,
@@ -30,6 +30,13 @@ SWEEP_M = 50
 # Independently measured with a throwaway brute-force script before this
 # suite existed; a drift here means the enumeration itself changed.
 EXPECTED_SWEEP_SOLUTIONS = {2: 1026904, 3: 1027320}
+
+# The paper states p prime; the package takes any p >= 2. A8's boxes, as
+# n: (bound, |m| limit, solutions, degenerate_e). The solution counts agree
+# with a plain instance-by-instance count; the degenerate counts are the
+# round trip's own, pinned so that a drift shows.
+COMPOSITE_BOXES = {4: (12, 40, 108352, 2672), 6: (6, 100, 55976, 440)}
+COMPOSITE_FUZZ = (4, 6, 8, 9)
 
 # The round-trip failure categories each gate rejects. Every category the
 # round trip reports belongs to one gate; tests/test_oracle.py injects each
@@ -246,3 +253,26 @@ def test_a7_parallel_search_byte_identical(tmp_path):
              f"search --jobs 4 output byte-identical to --jobs 1 for "
              f"p in {SWEEP_PRIMES}", elapsed)
     assert identical
+
+
+def test_a8_composite_exponents():
+    budget = 60.0
+    start = time.perf_counter()
+    jobs = os.cpu_count() or 1
+    reports = {n: roundtrip_check(SearchBounds(n, bound, -m, m), jobs)
+               for n, (bound, m, _, _) in COMPOSITE_BOXES.items()}
+    fuzzes = {n: identity_fuzz(n, 10, 500, seed=0) for n in COMPOSITE_FUZZ}
+    failures = sum(len(r.failures) for r in (*reports.values(), *fuzzes.values()))
+    counts_ok = all(
+        (reports[n].solutions_found, reports[n].degenerate_e) == (found, degenerate)
+        and reports[n].consistent()
+        for n, (_, _, found, degenerate) in COMPOSITE_BOXES.items()
+    ) and all(f.instances_checked == 500 for f in fuzzes.values())
+    elapsed = time.perf_counter() - start
+    ok = failures == 0 and counts_ok and elapsed < budget
+    _verdict("A8", ok,
+             f"round trips at n in {tuple(COMPOSITE_BOXES)} and reference fuzz at "
+             f"n in {COMPOSITE_FUZZ}, {failures} failures", elapsed, budget)
+    assert failures == 0
+    assert counts_ok
+    assert elapsed < budget

@@ -88,12 +88,24 @@ class TestGenerate:
         )
         assert code == EX_OK
 
-    def test_composite_p_is_usage_error(self, capsys):
-        code, out, err = run_lines(
+    def test_composite_p_frozen(self, capsys):
+        code, out, _ = run_lines(
             capsys, ["generate", "--p", "4", "--tuple", "1,1,2,1,1,1,1"]
         )
-        assert code == EX_USAGE
-        assert out == []
+        assert code == EX_OK
+        assert out == [
+            "tuple p=4 e=1 f=1 g=2 l=1 q=1 n=1 r=1",
+            "solution p=4 x=-13 y=2 z=17 m=-1 w=1681",
+        ]
+
+    def test_p_below_2_is_usage_error(self, capsys):
+        for p in ("1", "0", "-3"):
+            code, out, err = run_lines(
+                capsys, ["generate", "--p", p, "--tuple", "1,1,2,1,1,1,1"]
+            )
+            assert code == EX_USAGE
+            assert out == []
+            assert f"must be >= 2, got {p}" in err
 
     def test_zero_q_is_domain_error(self, capsys):
         code, out, _ = run_lines(
@@ -281,14 +293,14 @@ class TestHugeP:
         assert code == EX_OK
         assert out == ["report identity=1 nonzero=0 pairwise_coprime=1 theorem_grade=0"]
 
-    def test_large_semiprime_is_usage_error(self, capsys):
-        start = time.perf_counter()
-        p = str((10**9 + 7) * (10**9 + 9))
-        code, out, err = run_lines(capsys, ["verify", "--p", p] + self.VERIFY_ONES)
-        assert time.perf_counter() - start < 2
-        assert code == EX_USAGE
-        assert out == []
-        assert "must be prime" in err
+    def test_large_composite_is_accepted_quickly(self, capsys):
+        # The exponent need not be prime: a semiprime and a power of 2 pass too.
+        for p in ((10**9 + 7) * (10**9 + 9), 2**89):
+            start = time.perf_counter()
+            code, out, _ = run_lines(capsys, ["verify", "--p", str(p)] + self.VERIFY_ONES)
+            assert time.perf_counter() - start < 2
+            assert code == EX_OK
+            assert out == ["report identity=1 nonzero=0 pairwise_coprime=1 theorem_grade=0"]
 
     @pytest.mark.parametrize("argv", [
         ["generate", "--tuple", "1,2,1,1,1,1,1"],
@@ -397,13 +409,31 @@ class TestHugeP:
             _check_powers(2, -3, -(1 << (half + 1)))
         _check_powers(1000000000000000003, -1, 0, 1)
 
-    def test_p_past_deterministic_range_is_usage_error(self, capsys):
-        # 2**89 - 1 is prime, but beyond the range where the primality
-        # check is exact, so it is refused rather than guessed at.
-        code, out, err = run_lines(capsys, ["verify", "--p", str(2**89 - 1)] + self.VERIFY_ONES)
-        assert code == EX_USAGE
-        assert out == []
-        assert "too large" in err
+    def test_huge_p_meets_the_power_budgets(self, capsys):
+        # A p of any size is a valid exponent; what it cannot hold is
+        # refused as a domain error at once, never as a usage error.
+        for p in (2**89 - 1, 2**89):
+            for argv, error in (
+                (["generate", "--tuple", "1,1,2,1,1,1,1"], "TooLarge"),
+                (["decompose", "--x", "1", "--y", "1", "--z", "1", "--m", "1"],
+                 "NotTheoremGrade"),
+                (["roundtrip", "--bound", "5", "--m", "1..1"], "TooLarge"),
+            ):
+                start = time.perf_counter()
+                code, out, _ = run_lines(capsys, argv[:1] + ["--p", str(p)] + argv[1:])
+                assert time.perf_counter() - start < 2
+                assert (code, out) == (EX_DOMAIN, [f"error {error}"]), (p, argv)
+
+    def test_huge_output_power_is_refused(self):
+        # Every input of the tuple passes the power budget, but x and y
+        # have over 10,000 bits, and w takes their 1009th powers. Unrefused,
+        # the command runs for minutes, so it runs in a child.
+        start = time.perf_counter()
+        done = run_child(["-m", "zwform", "generate", "--p", "1009",
+                          "--tuple", "1000,1,1,1,1,1,1"], timeout=5)
+        assert time.perf_counter() - start < 2
+        assert (done.returncode, done.stdout) == (EX_DOMAIN, "error TooLarge\n"), done.stderr
+        assert "MAX_POWER_BITS" in done.stderr
 
 
 class TestSearch:
@@ -430,24 +460,24 @@ class TestSearch:
         assert report["counts"]["solutions_found"] == str(len(solutions))
 
     def test_usage_errors(self, capsys):
-        huge_p = str(2**89 - 1)
         for argv, err_part in (
             (["search", "--p", "2", "--bound", "0", "--m", "1..1"], "bound must be >= 1"),
             (["search", "--p", "2", "--bound", "5", "--m", "1..x"], "malformed m range"),
             (["search", "--p", "2", "--bound", "5", "--m", "5"], "expected lo..hi"),
             (["search", "--p", "2", "--bound", "5", "--m", "5..1"], "empty m range"),
-            (["search", "--p", "9", "--bound", "5", "--m", "1..1"], "must be prime"),
+            (["search", "--p", "1", "--bound", "5", "--m", "1..1"], "must be >= 2, got 1"),
+            (["search", "--p", "-3", "--bound", "5", "--m", "1..1"], "must be >= 2, got -3"),
             (["search", "--p", "2", "--bound", "5", "--m", "1..1", "--jobs", "0"],
              "--jobs must be >= 1"),
             (["roundtrip", "--p", "2", "--bound", "0", "--m", "1..1"], "bound must be >= 1"),
             (["roundtrip", "--p", "2", "--bound", "5", "--m", "5..1"], "empty m range"),
             (["roundtrip", "--p", "2", "--bound", "5", "--m", "1..1", "--jobs", "0"],
              "--jobs must be >= 1"),
-            (["roundtrip", "--p", "9", "--bound", "5", "--m", "1..1"], "must be prime"),
-            (["generate", "--p", huge_p, "--tuple", "1,1,2,1,1,1,1"], "too large"),
-            (["decompose", "--p", huge_p, "--x", "1", "--y", "1", "--z", "1", "--m", "1"],
-             "too large"),
-            (["roundtrip", "--p", huge_p, "--bound", "5", "--m", "1..1"], "too large"),
+            (["roundtrip", "--p", "0", "--bound", "5", "--m", "1..1"], "must be >= 2, got 0"),
+            (["decompose", "--p", "1", "--x", "1", "--y", "1", "--z", "1", "--m", "1"],
+             "must be >= 2, got 1"),
+            (["verify", "--p", "-3", "--x", "1", "--y", "1", "--z", "1", "--m", "1", "--w", "0"],
+             "must be >= 2, got -3"),
         ):
             code, out, err = run_lines(capsys, argv)
             assert code == EX_USAGE, argv

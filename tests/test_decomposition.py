@@ -248,7 +248,8 @@ class TestDecompose:
     @pytest.mark.parametrize("bounds", [
         SearchBounds(2, 6, -6, 6), SearchBounds(3, 6, -6, 6),
         SearchBounds(5, 5, -10, 10), SearchBounds(7, 4, -10, 10),
-    ], ids=["p2", "p3", "p5", "p7"])
+        SearchBounds(4, 5, -10, 10), SearchBounds(6, 4, -10, 10),
+    ], ids=["p2", "p3", "p5", "p7", "p4", "p6"])
     def test_stage_functions_rebuild_every_tuple(self, bounds):
         # decompose computes l and the row constants in row_prefix, not
         # through split_u, residual_e and residual_n. The exported stage

@@ -67,9 +67,11 @@ def naive_counts(p, bound, m_min, m_max):
 
 
 class TestSearchBounds:
-    def test_rejects_composite_p(self):
-        with pytest.raises(ValueError):
-            SearchBounds(4, 5, -1, 1)
+    def test_rejects_p_below_2(self):
+        assert SearchBounds(4, 5, -1, 1).p == 4
+        for p in (1, 0, -3):
+            with pytest.raises(ValueError, match=f"p must be >= 2, got {p}"):
+                SearchBounds(p, 5, -1, 1)
 
     def test_rejects_bad_bound(self):
         with pytest.raises(ValueError):
@@ -139,7 +141,7 @@ class TestEnumerate:
 class TestResidueScan:
     """The residue-class scan against the naive instance-by-instance scan."""
 
-    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    @pytest.mark.parametrize("p", [2, 3, 4, 5, 6, 7])
     @pytest.mark.parametrize("bound", range(1, 9))
     def test_classes_partition_the_rows(self, p, bound):
         rows, classes = oracle._triples(bound, p)
@@ -158,7 +160,7 @@ class TestResidueScan:
                     assert abs(z) == k and xp == x ** p and yp == y ** p
                     assert (xp - r * yp) % k == 0
 
-    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    @pytest.mark.parametrize("p", [2, 3, 4, 5, 6, 7])
     @pytest.mark.parametrize("bound", range(1, 9))
     @pytest.mark.parametrize("m_range", [(-9, -1), (-4, 5), (0, 0), (3, 11)],
                              ids=["negative", "holds_0", "only_0", "off_residue"])
@@ -675,13 +677,14 @@ class TestIdentityFuzz:
 
     def test_reference_cost_budget(self):
         # The roundtrip-box workload's boxes, the README's p = 7 fuzz and the
-        # largest p at limit 1 pass; the next prime does not. (A p whose
-        # fuzz would not finish is refused in a child, in test_cli.py.)
-        assert 127 ** 3 <= oracle.MAX_REFERENCE_BITS < 131 ** 3
-        for p, limit in ((2, 10), (3, 10), (7, 20), (127, 1)):
+        # largest p at limit 1, whose cost 128**3 is the budget exactly,
+        # pass; p = 129 does not. (A p whose fuzz would not finish is
+        # refused in a child, in test_cli.py.)
+        assert oracle.MAX_REFERENCE_BITS == 128 ** 3
+        for p, limit in ((2, 10), (3, 10), (7, 20), (128, 1)):
             assert identity_fuzz(p, limit, 1, seed=0).instances_checked == 1
         with pytest.raises(TooLarge, match="MAX_REFERENCE_BITS"):
-            identity_fuzz(131, 1, 1, seed=0)
+            identity_fuzz(129, 1, 1, seed=0)
         assert identity_fuzz(1000000000000000003, 1, 0, seed=0).as_counts() == \
             SearchReport().as_counts()
 

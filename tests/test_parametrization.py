@@ -27,7 +27,8 @@ from zwform.parametrization import (
     theorem_grade_flags,
 )
 
-PRIMES = (2, 3, 5, 7)
+# Composite exponents too: no step of generate or decompose uses primality.
+EXPONENTS = (2, 3, 4, 5, 6, 7, 9)
 
 
 def constrained_tuples(p, limit):
@@ -44,17 +45,21 @@ def constrained_tuples(p, limit):
 
 
 class TestDataclasses:
-    def test_tuple_rejects_composite_p(self):
-        with pytest.raises(ValueError):
-            ParameterTuple(4, 1, 1, 1, 1, 1, 1, 1)
+    def test_tuple_rejects_p_below_2(self):
+        assert ParameterTuple(4, 1, 1, 1, 1, 1, 1, 1).p == 4
+        for p in (1, 0, -3):
+            with pytest.raises(ValueError, match=f"p must be >= 2, got {p}"):
+                ParameterTuple(p, 1, 1, 1, 1, 1, 1, 1)
 
     def test_tuple_rejects_zero_q(self):
         with pytest.raises(ValueError):
             ParameterTuple(2, 1, 1, 1, 1, 0, 1, 1)
 
-    def test_solution_rejects_composite_p(self):
-        with pytest.raises(ValueError):
-            Solution(6, 1, 1, 1, 1, 1)
+    def test_solution_rejects_p_below_2(self):
+        assert Solution(6, 1, 1, 1, 1, 0).identity_holds()
+        for p in (1, 0, -3):
+            with pytest.raises(ValueError, match=f"p must be >= 2, got {p}"):
+                Solution(p, 1, 1, 1, 1, 0)
 
     def test_gcd_constraints(self):
         assert ParameterTuple(2, 1, 1, 2, 1, 1, 1, 1).satisfies_gcd_constraints()
@@ -107,7 +112,7 @@ class TestClosedForms:
 
     def test_agrees_with_generate(self):
         seen = collections.Counter()
-        for p in PRIMES:
+        for p in EXPONENTS:
             for t in sample_tuples(p, 2, 400, seed=p):
                 # Scaling e or l by q breaks a coprimality constraint when |q| > 1.
                 for u in (t, dataclasses.replace(t, e=t.e * t.q),
@@ -161,9 +166,15 @@ class TestPowerBudget:
 
     def test_huge_p_is_refused_quickly(self):
         # At p = 10**18 + 3, 2**p has about 10**18 bits; |v| <= 1 would pass.
+        # Every input of (p, 1, 0, 1, 1, 1, 1, 1) passes, but y == 2, and w
+        # takes y**p: closed_forms refuses it, at 2**21 (first, so that a
+        # missing check fails fast) as at HUGE_P.
         start = time.perf_counter()
-        with pytest.raises(TooLarge):
-            generate(ParameterTuple(self.HUGE_P, 2, 1, 1, 1, 1, 1, 1))
+        for t in (ParameterTuple(self.HUGE_P, 2, 1, 1, 1, 1, 1, 1),
+                  ParameterTuple(2**21, 1, 0, 1, 1, 1, 1, 1),
+                  ParameterTuple(self.HUGE_P, 1, 0, 1, 1, 1, 1, 1)):
+            with pytest.raises(TooLarge, match="MAX_POWER_BITS"):
+                generate(t)
         for call in (decompose, is_theorem_grade):
             with pytest.raises(TooLarge):
                 call(Solution(self.HUGE_P, 2, 1, 1, 1, 1))
@@ -252,7 +263,7 @@ class TestDickson:
 
 class TestAlgebraicProperties:
     @settings(deadline=None)
-    @given(st.sampled_from(PRIMES), st.data())
+    @given(st.sampled_from(EXPONENTS), st.data())
     def test_identity(self, p, data):
         t = data.draw(constrained_tuples(p, 12))
         if eval_z(t) == 0:
@@ -261,7 +272,7 @@ class TestAlgebraicProperties:
         assert sol.x ** p - sol.m * sol.y ** p == sol.z * sol.w
 
     @settings(deadline=None)
-    @given(st.sampled_from(PRIMES), st.data())
+    @given(st.sampled_from(EXPONENTS), st.data())
     def test_line_relation(self, p, data):
         t = data.draw(constrained_tuples(p, 12))
         if eval_z(t) == 0:
@@ -271,7 +282,7 @@ class TestAlgebraicProperties:
         assert t.q * sol.x == -sol.z * t.r + u * sol.y
 
     @settings(deadline=None)
-    @given(st.sampled_from(PRIMES), st.data())
+    @given(st.sampled_from(EXPONENTS), st.data())
     def test_norm_relation(self, p, data):
         t = data.draw(constrained_tuples(p, 12))
         z = eval_z(t)
@@ -279,7 +290,7 @@ class TestAlgebraicProperties:
         assert z * t.e == u ** p - eval_m(t) * t.q ** p
 
     @settings(deadline=None)
-    @given(st.sampled_from(PRIMES), st.data())
+    @given(st.sampled_from(EXPONENTS), st.data())
     def test_z_congruence_mod_q(self, p, data):
         # Every non-leading term of the z form carries a factor of q.
         t = data.draw(constrained_tuples(p, 12))
@@ -287,7 +298,7 @@ class TestAlgebraicProperties:
         assert (eval_z(t) - lead) % t.q == 0
 
     @settings(deadline=None)
-    @given(st.sampled_from(PRIMES), st.data())
+    @given(st.sampled_from(EXPONENTS), st.data())
     def test_y_decomposes_over_q(self, p, data):
         t = data.draw(constrained_tuples(p, 12))
         tail = t.e ** (p - 2) * t.l ** (p - 1) * t.r
