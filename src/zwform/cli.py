@@ -96,9 +96,13 @@ def _trace_record(trace, tuple_rec: dict) -> dict:
     return rec
 
 
+# json.dumps with separators builds an encoder per call; records share this one.
+_JSON = json.JSONEncoder(separators=(",", ":"))
+
+
 def _emit(rec: dict, fmt: str, stream) -> None:
     if fmt == "json":
-        stream.write(json.dumps(rec, separators=(",", ":")) + "\n")
+        stream.write(_JSON.encode(rec) + "\n")
         return
     if rec["kind"] == "error":
         stream.write(f"error {rec['error']}\n")
@@ -293,7 +297,8 @@ def _cmd_roundtrip(args) -> int:
 
 
 @functools.cache
-def _build_parser() -> _Parser:
+def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
+    """The top-level parser, and each command's own parser by command name."""
     fmt_parent = _Parser(add_help=False)
     fmt_parent.add_argument("--format", choices=("text", "json"), default="text",
                             help="record format (default: text)")
@@ -340,22 +345,32 @@ def _build_parser() -> _Parser:
     rou.add_argument("--fuzz-count", type=int, default=1000,
                      help="random tuples to fuzz (default: 1000)")
     rou.set_defaults(handler=_cmd_roundtrip)
-    return parser
+    commands = {"generate": gen, "decompose": dec, "verify": ver, "search": sea, "roundtrip": rou}
+    return parser, commands
 
 
 def run(argv=None) -> int:
     """Parse argv and execute; returns the process exit code.
 
+    argv defaults to sys.argv[1:]. When argv[0] names a command, that
+    command's own parser parses the rest; the top-level parser would scan
+    every argument before handing them to it, to the same result. The
+    top-level parser sees only an argv that names no command (empty, -h,
+    an unknown name), and gives the help or the usage error for it.
     Integers of any length are read and printed: CPython's int/str digit
     limit is lifted for the call and restored afterwards. Interpreters
     older than the limit have nothing to lift.
     """
+    if argv is None:
+        argv = sys.argv[1:]
     lift = hasattr(sys, "set_int_max_str_digits")
     if lift:
         old_limit = sys.get_int_max_str_digits()
         sys.set_int_max_str_digits(0)
     try:
-        args = _build_parser().parse_args(argv)
+        parser, commands = _build_parser()
+        command = commands.get(argv[0]) if argv else None
+        args = parser.parse_args(argv) if command is None else command.parse_args(argv[1:])
         return args.handler(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

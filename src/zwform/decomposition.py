@@ -47,10 +47,10 @@ from dataclasses import dataclass
 from math import gcd
 from typing import NamedTuple
 
-from .exact_arith import MAX_POWER_BITS, _check_powers, exact_div, extgcd
+from .exact_arith import MAX_POWER_BITS, _check_powers, exact_div
 from .errors import (
     ConstraintViolation, DegenerateE, NotCoprime, NotDivisible, NotTheoremGrade,
-    RegenerateMismatch,
+    RegenerateMismatch, show,
 )
 from .parametrization import (
     ParameterTuple, Solution, closed_forms, gcd_constraints_hold, theorem_grade_flags,
@@ -100,17 +100,27 @@ class DecompositionTrace:
 def bezout_nonzero(v: int, z: int) -> tuple[int, int]:
     """Return (a, b) with a*v - b*z == 1 and a != 0.
 
-    Canonical choice: the extgcd coefficients, with (a, b) replaced by
-    (a + z, b + v) when a lands on 0 (only possible for z == +-1, so the
-    replacement is itself nonzero). For z == 0 coprimality forces v == +-1
-    and (v, 0) is returned.
+    Canonical choice: the extgcd(v, z) coefficients, b negated, with
+    (a, b) replaced by (a + z, b + v) when a lands on 0 (only possible for
+    z == +-1, so the replacement is itself nonzero). For z == 0 coprimality
+    forces v == +-1 and (v, 0) is returned. The pair is computed without
+    extgcd's Python loop: extgcd's a is pow(v, -1, |z|) taken as the residue
+    of least absolute value, the positive one of the tie at |z| == 2 when
+    z > 0, and b = (a*v - 1) / z. A v with no inverse modulo |z| raises
+    NotCoprime; only that path computes gcd(v, z), for the message.
     """
-    g, a, b = extgcd(v, z)
-    if g != 1:
-        raise NotCoprime(f"gcd({v}, {z}) = {g} != 1")
     if z == 0:
+        if v not in (1, -1):
+            raise NotCoprime(f"gcd({show(v)}, 0) = {show(abs(v))} != 1")
         return v, 0
-    b = -b
+    mod = abs(z)
+    try:
+        a = pow(v, -1, mod)
+    except ValueError:
+        raise NotCoprime(f"gcd({show(v)}, {show(z)}) = {show(gcd(v, z))} != 1") from None
+    if 2 * a > mod or (2 * a == mod and z < 0):
+        a -= mod
+    b = (a * v - 1) // z
     if a == 0:
         a, b = a + z, b + v
     return a, b
@@ -213,28 +223,29 @@ def m_fields(p: int, fields: tuple, prefix: RowPrefix) -> tuple[int, int, int, i
     # Each division is exact_div's, inline: a remainder raises NotDivisible.
     e, rem = divmod(up - m * qp, z)
     if rem:
-        raise NotDivisible(f"{z} does not divide {up - m * qp}")
+        raise NotDivisible(f"{show(z)} does not divide {show(up - m * qp)}")
     if e == 0:
         return None
     f, rem = divmod(u - e * l, q)
     if rem:
-        raise NotDivisible(f"{q} does not divide {u - e * l}")
+        raise NotDivisible(f"{show(q)} does not divide {show(u - e * l)}")
     # g and n raise f to p and e to p - 2: _check_powers' test, inline, refuses them first.
     if p * ((abs(e) | abs(f)).bit_length() - 1) > MAX_POWER_BITS:
         _check_powers(p, e, f)
     g, rem = divmod(f ** p - m, e)
     if rem:
-        raise NotDivisible(f"{e} does not divide {f ** p - m}")
+        raise NotDivisible(f"{show(e)} does not divide {show(f ** p - m)}")
     n, rem = divmod(y - e ** (p - 2) * lr, q)
     if rem:
-        raise NotDivisible(f"{q} does not divide {y - e ** (p - 2) * lr}")
+        raise NotDivisible(f"{show(q)} does not divide {show(y - e ** (p - 2) * lr)}")
     if not gcd_constraints_hold(e, l, q, n, r):
         raise ConstraintViolation(
-            f"coprimality postcondition failed for {ParameterTuple(p, e, f, g, l, q, n, r)}")
+            f"coprimality postcondition failed for {show(ParameterTuple(p, e, f, g, l, q, n, r))}")
     regen = closed_forms(p, e, f, g, l, q, n, r)
     if regen != (x, y, z, m, w):
-        raise RegenerateMismatch(f"generate({ParameterTuple(p, e, f, g, l, q, n, r)}) gave "
-                                 f"{Solution(p, *regen)}, expected {Solution(p, x, y, z, m, w)}")
+        raise RegenerateMismatch(f"generate({show(ParameterTuple(p, e, f, g, l, q, n, r))}) gave "
+                                 f"{show(Solution(p, *regen))}, "
+                                 f"expected {show(Solution(p, x, y, z, m, w))}")
     return e, l, f, g, n
 
 
@@ -251,16 +262,17 @@ def decompose(sol: Solution) -> tuple[ParameterTuple, DecompositionTrace]:
     """
     flags = theorem_grade_flags(sol)
     if not flags["nonzero"]:
-        raise NotTheoremGrade(f"x, y, z, m, w must all be nonzero, got {sol}")
+        raise NotTheoremGrade(f"x, y, z, m, w must all be nonzero, got {show(sol)}")
     if not flags["pairwise_coprime"]:
-        raise NotTheoremGrade(f"x, y, z must be pairwise coprime, got {sol}")
+        raise NotTheoremGrade(f"x, y, z must be pairwise coprime, got {show(sol)}")
     if not flags["identity"]:
-        raise NotTheoremGrade(f"x**p - m*y**p != z*w for {sol}")
+        raise NotTheoremGrade(f"x**p - m*y**p != z*w for {show(sol)}")
     p = sol.p
     prefix = row_prefix(p, sol.x, sol.y, sol.z)
     found = m_fields(p, (sol.x, sol.y, sol.z, sol.m, sol.w), prefix)
     if found is None:
-        raise DegenerateE(f"u**p == m*q**p for {sol}: m = {sol.m} is a p-th power up to sign")
+        raise DegenerateE(f"u**p == m*q**p for {show(sol)}: m = {show(sol.m)} "
+                          "is a p-th power up to sign")
     e, l, f, g, n = found
     a, b, c, d, h, u, q, r = prefix[:8]
     return (ParameterTuple(p, e, f, g, l, q, n, r),

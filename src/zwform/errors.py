@@ -4,7 +4,33 @@ Two families matter to callers: domain errors (bad or out-of-scope input,
 reported back to the user) and pipeline errors that can only arise from an
 internal bug (surfaced loudly so tests catch them). The CLI maps the former
 to exit code 2 and the latter to exit code 1.
+
+Every library error message that names a value builds its text with
+``show``, so that an int past CPython's int/str digit limit cannot turn the
+error into a ValueError while its message is built. The CLI lifts the limit
+while a command runs, so its own messages format values directly.
 """
+
+import dataclasses
+
+
+def show(value) -> str:
+    """str(value), for the ints and dataclasses of ints that messages name.
+
+    Where CPython's int/str digit limit refuses an int's decimal, that int
+    is written as its bit length, signed, and a dataclass field by field as
+    its repr would be. With the limit lifted, as cli.run lifts it, the text
+    is str(value) exactly.
+    """
+    try:
+        return str(value)
+    except ValueError:
+        pass
+    if isinstance(value, int):
+        return f"{'-' if value < 0 else ''}<{abs(value).bit_length()}-bit int>"
+    fields = ", ".join(f"{field.name}={show(getattr(value, field.name))}"
+                       for field in dataclasses.fields(value))
+    return f"{type(value).__qualname__}({fields})"
 
 
 class ZwformError(Exception):

@@ -7,7 +7,7 @@ instead of approximating.
 
 from __future__ import annotations
 
-from .errors import NotDivisible, TooLarge
+from .errors import NotDivisible, TooLarge, show
 
 # The most bits a p-th power may have. Larger powers are refused before any
 # is taken, with TooLarge.
@@ -19,8 +19,10 @@ def extgcd(s: int, t: int) -> tuple[int, int, int]:
 
     Returns (g, a, b) with a*s + b*t == g and g = gcd(s, t) >= 0: the
     canonical coefficients that recursion produces (negated as a whole if
-    needed so that g >= 0). Decomposition depends on this exact choice for
-    reproducible traces, so do not swap in a different variant.
+    needed so that g >= 0). These coefficients define decompose's Bezout
+    pairs and so its traces. decomposition.bezout_nonzero computes the same
+    pairs from pow(v, -1, |z|) without calling this loop; it stays as the
+    reference that the tests compare bezout_nonzero with.
     """
     old_r, r = s, t
     old_a, a = 1, 0
@@ -39,7 +41,7 @@ def exact_div(num: int, den: int) -> int:
     """num / den when den divides num exactly; NotDivisible, or ZeroDivisionError, otherwise."""
     quot, rem = divmod(num, den)
     if rem:
-        raise NotDivisible(f"{den} does not divide {num}")
+        raise NotDivisible(f"{show(den)} does not divide {show(num)}")
     return quot
 
 
@@ -55,6 +57,6 @@ def _check_powers(p: int, *values: int) -> None:
     width = largest.bit_length()
     bits = p * (width - 1)
     if bits > MAX_POWER_BITS:
-        raise TooLarge(f"the p-th power of a {width}-bit input has at least {bits} bits, "
-                       f"more than MAX_POWER_BITS = {MAX_POWER_BITS}")
+        raise TooLarge(f"the p-th power of a {show(width)}-bit input has at least "
+                       f"{show(bits)} bits, more than MAX_POWER_BITS = {MAX_POWER_BITS}")
 

@@ -27,7 +27,7 @@ from functools import cache, lru_cache
 from math import gcd
 
 from .decomposition import bezout_nonzero, m_fields, m_relations, row_identities, row_prefix
-from .errors import ConstraintViolation, RegenerateMismatch, TooLarge, ZeroZ, ZwformError
+from .errors import ConstraintViolation, RegenerateMismatch, TooLarge, ZeroZ, ZwformError, show
 from .parametrization import ParameterTuple, Solution, closed_forms, generate_reference
 
 
@@ -42,11 +42,11 @@ class SearchBounds:
 
     def __post_init__(self):
         if self.p < 2:
-            raise ValueError(f"p must be >= 2, got {self.p}")
+            raise ValueError(f"p must be >= 2, got {show(self.p)}")
         if self.bound < 1:
-            raise ValueError(f"bound must be >= 1, got {self.bound}")
+            raise ValueError(f"bound must be >= 1, got {show(self.bound)}")
         if self.m_min > self.m_max:
-            raise ValueError(f"empty m range [{self.m_min}, {self.m_max}]")
+            raise ValueError(f"empty m range [{show(self.m_min)}, {show(self.m_max)}]")
 
 
 # The counters one scan fills, in the order the search report lists them.
@@ -394,9 +394,9 @@ def sample_tuples(p: int, limit: int, count: int, seed: int) -> list[ParameterTu
     Deterministic for a fixed seed.
     """
     if limit < 1:
-        raise ValueError(f"limit must be >= 1, got {limit}")
+        raise ValueError(f"limit must be >= 1, got {show(limit)}")
     if count < 0:
-        raise ValueError(f"count must be >= 0, got {count}")
+        raise ValueError(f"count must be >= 0, got {show(count)}")
     span = 2 * limit + 1
     state = seed & _MASK64
 
@@ -447,8 +447,9 @@ def identity_fuzz(p: int, limit: int, count: int, seed: int) -> SearchReport:
     """
     cost = p * p * p * (2 * limit.bit_length() - 1)
     if count > 0 and cost > MAX_REFERENCE_BITS:
-        raise TooLarge(f"the reference sums of one tuple at p = {p}, limit {limit} add up to "
-                       f"about {cost} bits, more than MAX_REFERENCE_BITS = {MAX_REFERENCE_BITS}")
+        raise TooLarge(f"the reference sums of one tuple at p = {show(p)}, limit {show(limit)} "
+                       f"add up to about {show(cost)} bits, "
+                       f"more than MAX_REFERENCE_BITS = {MAX_REFERENCE_BITS}")
     report = SearchReport()
     for t in sample_tuples(p, limit, count, seed):
         report.instances_checked += 1

@@ -47,7 +47,7 @@ from dataclasses import dataclass
 from math import comb, gcd
 
 from .exact_arith import MAX_POWER_BITS, _check_powers, exact_div
-from .errors import IdentityViolation, NotCoprime, ZeroZ
+from .errors import IdentityViolation, NotCoprime, ZeroZ, show
 
 
 @dataclass
@@ -71,7 +71,7 @@ class ParameterTuple:
 
     def __post_init__(self):
         if self.p < 2:
-            raise ValueError(f"p must be >= 2, got {self.p}")
+            raise ValueError(f"p must be >= 2, got {show(self.p)}")
         if self.q == 0:
             raise ValueError("q must be nonzero")
 
@@ -102,7 +102,7 @@ class Solution:
 
     def __post_init__(self):
         if self.p < 2:
-            raise ValueError(f"p must be >= 2, got {self.p}")
+            raise ValueError(f"p must be >= 2, got {show(self.p)}")
 
     def identity_holds(self) -> bool:
         """x**p - m*y**p == z*w, exactly.
@@ -203,12 +203,12 @@ def closed_forms(p: int, e: int, f: int, g: int, l: int, q: int, n: int,
         z, rem = divmod(u ** p - fq ** p, e)
         if rem:
             raise IdentityViolation(f"inexact closed-form division in generate("
-                                    f"{ParameterTuple(p, e, f, g, l, q, n, r)})")
+                                    f"{show(ParameterTuple(p, e, f, g, l, q, n, r))})")
     else:
         z = p * l * fq ** (p - 1)
     z += g * q ** p
     if z == 0:
-        raise ZeroZ(f"z evaluates to 0 for {ParameterTuple(p, e, f, g, l, q, n, r)}")
+        raise ZeroZ(f"z evaluates to 0 for {show(ParameterTuple(p, e, f, g, l, q, n, r))}")
     y = n * q + e ** (p - 2) * l ** (p - 1) * r
     m = f ** p - e * g
     x, x_rem = divmod(u * y - z * r, q)
@@ -218,7 +218,7 @@ def closed_forms(p: int, e: int, f: int, g: int, l: int, q: int, n: int,
     w, w_rem = divmod(x ** p - m * y ** p, z)
     if x_rem or w_rem:
         raise IdentityViolation(f"inexact closed-form division in generate("
-                                f"{ParameterTuple(p, e, f, g, l, q, n, r)})")
+                                f"{show(ParameterTuple(p, e, f, g, l, q, n, r))})")
     return x, y, z, m, w
 
 
@@ -238,9 +238,9 @@ def generate(t: ParameterTuple) -> Solution:
     p, e, f, g, l, q, n, r = t.p, t.e, t.f, t.g, t.l, t.q, t.n, t.r
     _check_powers(p, e, f, l, q, f * q, e * l + f * q)
     if gcd(e, q) != 1:
-        raise NotCoprime(f"gcd(e, q) = gcd({e}, {q}) != 1")
+        raise NotCoprime(f"gcd(e, q) = gcd({show(e)}, {show(q)}) != 1")
     if gcd(l, q) != 1:
-        raise NotCoprime(f"gcd(l, q) = gcd({l}, {q}) != 1")
+        raise NotCoprime(f"gcd(l, q) = gcd({show(l)}, {show(q)}) != 1")
     return Solution(p, *closed_forms(p, e, f, g, l, q, n, r))
 
 
@@ -253,18 +253,18 @@ def generate_reference(t: ParameterTuple) -> Solution:
     returning; a failure there is a bug, not an input problem.
     """
     if gcd(t.e, t.q) != 1:
-        raise NotCoprime(f"gcd(e, q) = gcd({t.e}, {t.q}) != 1")
+        raise NotCoprime(f"gcd(e, q) = gcd({show(t.e)}, {show(t.q)}) != 1")
     if gcd(t.l, t.q) != 1:
-        raise NotCoprime(f"gcd(l, q) = gcd({t.l}, {t.q}) != 1")
+        raise NotCoprime(f"gcd(l, q) = gcd({show(t.l)}, {show(t.q)}) != 1")
     z = eval_z(t)
     if z == 0:
-        raise ZeroZ(f"z evaluates to 0 for {t}")
+        raise ZeroZ(f"z evaluates to 0 for {show(t)}")
     y = eval_y(t)
     m = eval_m(t)
     x = eval_x(t, y)
     w = eval_w(t, z, y)
     if x ** t.p - m * y ** t.p != z * w:
-        raise IdentityViolation(f"x**p - m*y**p != z*w for {t}")
+        raise IdentityViolation(f"x**p - m*y**p != z*w for {show(t)}")
     return Solution(t.p, x, y, z, m, w)
 
 
@@ -282,7 +282,7 @@ def dickson_p2(t: ParameterTuple) -> Solution:
     ValueError for any other p.
     """
     if t.p != 2:
-        raise ValueError(f"dickson_p2 is only defined for p == 2, got p={t.p}")
+        raise ValueError(f"dickson_p2 is only defined for p == 2, got p={show(t.p)}")
     e, f, g, l, q, n, r = t.e, t.f, t.g, t.l, t.q, t.n, t.r
     x = e * l * n + f * n * q - f * l * r - g * q * r
     y = n * q + l * r
@@ -304,5 +304,5 @@ def brahmagupta_compose(a: int, q: int, b: int, r: int, m: int, sign: int) -> tu
     for sign == +1, and the swapped-sign variant for sign == -1.
     """
     if sign not in (1, -1):
-        raise ValueError(f"sign must be +1 or -1, got {sign}")
+        raise ValueError(f"sign must be +1 or -1, got {show(sign)}")
     return a * b + sign * m * q * r, a * r + sign * b * q

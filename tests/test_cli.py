@@ -18,10 +18,10 @@ from zwform.cli import (
     TooLarge, _emit, _record, _solution_record, run,
 )
 from zwform.decomposition import decompose
-from zwform.errors import NotTheoremGrade
+from zwform.errors import NotTheoremGrade, ZeroZ, show
 from zwform.exact_arith import MAX_POWER_BITS, _check_powers
-from zwform.oracle import SearchBounds, enumerate_solutions, stream_solutions
-from zwform.parametrization import Solution, is_theorem_grade
+from zwform.oracle import SearchBounds, enumerate_solutions, identity_fuzz, stream_solutions
+from zwform.parametrization import ParameterTuple, Solution, generate, is_theorem_grade
 
 
 def run_lines(capsys, argv):
@@ -764,6 +764,59 @@ class TestBigIntegers:
         assert serial.returncode == pooled.returncode == EX_OK, pooled.stderr
         assert max(len(field) for field in serial.stdout.split()) > 4300
         assert pooled.stdout == serial.stdout
+
+
+@pytest.fixture
+def digit_limit():
+    """CPython's default int/str digit limit, in force for the test.
+
+    A test may have lifted it for the process (an in-process search worker
+    does); interpreters older than the limit have none to set.
+    """
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
+class TestMessagesPastDigitLimit:
+    """A domain error keeps its class when its message names an int past the limit."""
+
+    def test_generate_zero_z(self, digit_limit):
+        with pytest.raises(ZeroZ, match=r"q=1, n=<16610-bit int>, r=1\)$"):
+            generate(ParameterTuple(2, 1, 0, -1, 1, 1, 10**5000, 1))
+
+    def test_decompose_not_theorem_grade(self, digit_limit):
+        with pytest.raises(NotTheoremGrade, match=r"got Solution\(p=2, x=<16610-bit int>, y=2,"):
+            decompose(Solution(2, 10**5000, 2, 3, 0, 5))
+
+    def test_identity_fuzz_too_large(self, digit_limit):
+        with pytest.raises(TooLarge, match=r"p = 2, limit <131073-bit int> add up"):
+            identity_fuzz(2, 2**131073 - 1, 1, 0)
+
+    def test_show(self, digit_limit):
+        assert show(-10**5000) == "-<16610-bit int>"
+        assert show(-10**4000) == str(-10**4000)
+        assert show(Solution(2, 3, -10**5000, 1, 1, 1)) == (
+            "Solution(p=2, x=3, y=-<16610-bit int>, z=1, m=1, w=1)")
+        assert show(Solution(2, 3, -10**4000, 1, 1, 1)) == repr(Solution(2, 3, -10**4000, 1, 1, 1))
+
+    def test_cli_names_the_decimal(self, capsys, digit_limit):
+        # run lifts the limit, so the message is the one str() would give.
+        n = "1" + "0" * 5000
+        code, out, err = run_lines(
+            capsys, ["generate", "--p", "2", "--tuple", f"1,0,-1,1,1,{n},1"])
+        assert code == EX_DOMAIN
+        assert out == [f"tuple p=2 e=1 f=0 g=-1 l=1 q=1 n={n} r=1", "error ZeroZ"]
+        assert err == ("error: z evaluates to 0 for "
+                       f"ParameterTuple(p=2, e=1, f=0, g=-1, l=1, q=1, n={n}, r=1)\n")
+        if hasattr(sys, "get_int_max_str_digits"):
+            assert sys.get_int_max_str_digits() == 4300
 
 
 class TestColdStart:

@@ -5,6 +5,7 @@ import hashlib
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import zwform
 from zwform import decomposition, exact_arith, parametrization
@@ -26,8 +27,30 @@ from zwform.decomposition import (
     trace_identities,
 )
 from zwform.errors import DegenerateE, NotCoprime, NotDivisible, NotTheoremGrade, TooLarge
+from zwform.exact_arith import extgcd
 from zwform.oracle import SearchBounds, enumerate_solutions
 from zwform.parametrization import ParameterTuple, Solution, generate
+
+
+def extgcd_bezout(v, z):
+    """bezout_nonzero as extgcd computes it: the reference for its pow form."""
+    g, a, b = extgcd(v, z)
+    if g != 1:
+        raise NotCoprime(f"gcd({v}, {z}) = {g} != 1")
+    if z == 0:
+        return v, 0
+    b = -b
+    if a == 0:
+        a, b = a + z, b + v
+    return a, b
+
+
+def bezout_outcome(bezout, v, z):
+    """bezout(v, z), or the message of the NotCoprime it raises."""
+    try:
+        return bezout(v, z)
+    except NotCoprime as exc:
+        return f"NotCoprime: {exc}"
 
 
 class TestBezoutNonzero:
@@ -58,6 +81,56 @@ class TestBezoutNonzero:
                 a, b = bezout_nonzero(v, z)
                 assert a != 0
                 assert a * v - b * z == 1
+
+
+class TestBezoutAgainstExtgcd:
+    """bezout_nonzero's pow form gives extgcd_bezout's pair, or its NotCoprime message."""
+
+    def test_exhaustive(self):
+        span = range(-200, 201)
+        differ = [(v, z) for v in span for z in span
+                  if bezout_outcome(bezout_nonzero, v, z) != bezout_outcome(extgcd_bezout, v, z)]
+        assert differ == []
+
+    @settings(deadline=None)
+    @given(st.integers(-2**4096, 2**4096),
+           st.one_of(st.integers(-3, 3), st.integers(-2**4096, 2**4096)))
+    def test_signed_up_to_4096_bits(self, v, z):
+        assert bezout_outcome(bezout_nonzero, v, z) == bezout_outcome(extgcd_bezout, v, z)
+
+    def test_zero_z(self):
+        for v in (*range(-50, 51), 2**4096 + 1, -2**4096 - 1):
+            assert bezout_outcome(bezout_nonzero, v, 0) == bezout_outcome(extgcd_bezout, v, 0)
+
+    def test_tie_at_two_follows_the_sign_of_z(self):
+        # The inverse of an odd v modulo 2 is 1 = |z|/2, the one tie.
+        assert bezout_nonzero(3, 2) == extgcd_bezout(3, 2) == (1, 1)
+        assert bezout_nonzero(3, -2) == extgcd_bezout(3, -2) == (-1, 2)
+
+    @pytest.mark.parametrize("v, z, message", [
+        (4, 6, "gcd(4, 6) = 2 != 1"),
+        (-9, -6, "gcd(-9, -6) = 3 != 1"),
+        (0, 5, "gcd(0, 5) = 5 != 1"),
+        (0, 0, "gcd(0, 0) = 0 != 1"),
+        (-6, 0, "gcd(-6, 0) = 6 != 1"),
+        (2**100, -2**60, f"gcd({2**100}, {-2**60}) = {2**60} != 1"),
+    ])
+    def test_not_coprime_messages(self, v, z, message):
+        assert bezout_outcome(bezout_nonzero, v, z) == f"NotCoprime: {message}"
+        assert bezout_outcome(extgcd_bezout, v, z) == f"NotCoprime: {message}"
+
+    def test_decompose_takes_no_extgcd(self, monkeypatch):
+        def refused(*args):
+            raise AssertionError("extgcd called")
+
+        # Every name under which decompose's module could reach extgcd.
+        monkeypatch.setattr(decomposition, "extgcd", refused, raising=False)
+        monkeypatch.setattr(exact_arith, "extgcd", refused)
+        monkeypatch.setattr(zwform, "extgcd", refused)
+        for t in (ParameterTuple(3, 1, 0, 1, 1, 1, 1, 0),
+                  ParameterTuple(7, 5, -3, 2, 7, 11, 4, -9)):
+            sol = generate(t)
+            assert generate(decompose(sol)[0]) == sol
 
 
 class TestLineCoeffs:

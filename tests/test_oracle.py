@@ -473,16 +473,17 @@ class TestWorkDoneOnce:
 
     @pytest.mark.parametrize("jobs", [1, 3])
     def test_one_bezout_pair_per_v_and_z(self, monkeypatch, jobs):
-        # bezout_nonzero takes one extgcd per pair it solves. Rows of one z
-        # share (v, z) pairs, and a row's prefix is computed at its first
-        # solution, so the pairs solved are those of the rows with one.
+        # Each chunk reads its Bezout pairs through its own memo of
+        # oracle.bezout_nonzero, so each call that reaches it solves a pair.
+        # Rows of one z share (v, z) pairs, and a row's prefix is computed at
+        # its first solution, so the pairs solved are those of the rows with one.
         solved = []
 
-        def counted(v, z, extgcd=decomposition.extgcd):
+        def counted(v, z, bezout=oracle.bezout_nonzero):
             solved.append((v, z))
-            return extgcd(v, z)
+            return bezout(v, z)
 
-        monkeypatch.setattr(decomposition, "extgcd", counted)
+        monkeypatch.setattr(oracle, "bezout_nonzero", counted)
         bounds = SearchBounds(3, 10, -10, 10)
         pools = fake_pool(monkeypatch)
         report = roundtrip_check(bounds, jobs=jobs)
