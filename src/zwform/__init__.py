@@ -51,9 +51,7 @@ from .oracle import (
 from .parametrization import (
     ParameterTuple,
     Solution,
-    brahmagupta_compose,
     closed_forms,
-    dickson_p2,
     eval_m,
     eval_w,
     eval_x,
@@ -62,7 +60,6 @@ from .parametrization import (
     gcd_constraints_hold,
     generate,
     generate_reference,
-    is_theorem_grade,
     theorem_grade_flags,
 )
 
@@ -87,10 +84,8 @@ __all__ = [
     "ZeroZ",
     "ZwformError",
     "bezout_nonzero",
-    "brahmagupta_compose",
     "closed_forms",
     "decompose",
-    "dickson_p2",
     "enumerate_solutions",
     "eval_m",
     "eval_w",
@@ -103,7 +98,6 @@ __all__ = [
     "generate",
     "generate_reference",
     "identity_fuzz",
-    "is_theorem_grade",
     "line_coeffs",
     "m_fields",
     "m_relations",

@@ -253,6 +253,7 @@ def _pooled_text(bounds: SearchBounds, fmt: str, stats: SearchReport, jobs: int)
 
 def _cmd_search(args) -> int:
     bounds = _search_bounds(args)
+    # scan makes this check too, but only once --out is open; refuse first.
     _check_powers(bounds.p, bounds.bound)
     fmt = args.format
     stats = SearchReport()
@@ -281,6 +282,7 @@ def _cmd_roundtrip(args) -> int:
     bounds = _search_bounds(args)
     if args.fuzz_count < 0:
         raise UsageError(f"--fuzz-count must be >= 0, got {args.fuzz_count}")
+    # roundtrip_check makes this check too, but only after the fuzz; refuse first.
     _check_powers(bounds.p, bounds.bound)
     # The fuzz refuses a reference it cannot afford before sampling, so it
     # runs first: a refusal comes before the box's round trip, not after.

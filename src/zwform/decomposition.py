@@ -183,13 +183,13 @@ def row_prefix(p: int, x: int, y: int, z: int, bezout=bezout_nonzero) -> RowPref
     Requires x, y, z pairwise coprime (bezout_nonzero raises NotCoprime
     otherwise). The pairs are bezout(x, z) and bezout(y, z); a caller that
     walks many rows of one z passes a memo of bezout_nonzero, so that each
-    (v, z) is solved once. TooLarge is raised, before the power is taken,
-    when the p-th power of x or y would pass MAX_POWER_BITS (the refusal
-    that decompose's identity check makes on each solution of the row),
-    then when that of u or q would. l = z * u**(1-p) mod |q|, or 0 at
-    |q| == 1, is split_u's l for every m of the row.
+    (v, z) is solved once. TooLarge is raised, before the powers are taken,
+    when the p-th power of u or q would pass MAX_POWER_BITS. x and y are
+    not raised to p here: decompose's identity check has refused a row
+    whose x or y is past the budget, and a box walk has refused its bound.
+    l = z * u**(1-p) mod |q|, or 0 at |q| == 1, is split_u's l for every m
+    of the row.
     """
-    _check_powers(p, x, y)
     a, b = bezout(x, z)
     c, d = bezout(y, z)
     h, q, u, r = line_coeffs(a, b, c, d)

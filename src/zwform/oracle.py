@@ -5,9 +5,13 @@ divides only where the quotient is an integer: for such a triple z divides
 x**p - m*y**p exactly when m lies in one residue class modulo |z|, so each
 m visits only the triples of its classes. The deliberately naive scan (test
 every instance directly) is kept as the reference it is gated against,
-``naive_box_scan`` in tests/test_oracle.py. On top of the enumeration sit
+``naive_box_scan`` in tests/reference.py. On top of the enumeration sit
 batch round-trip checking, seeded tuple sampling, and a fuzz of generate
 against its paper-literal reference, all producing mergeable reports.
+
+The box's table holds x**p and y**p for every |x|, |y| <= bound, so both
+walks, scan and roundtrip_check, refuse a box whose bound has a p-th power
+past MAX_POWER_BITS with TooLarge before the table is built.
 
 Determinism contract: enumeration output and a round trip's failures are
 sorted by (m, x, y, z), although the round trip walks the box row by row;
@@ -28,6 +32,7 @@ from math import gcd
 
 from .decomposition import bezout_nonzero, m_fields, m_relations, row_identities, row_prefix
 from .errors import ConstraintViolation, RegenerateMismatch, TooLarge, ZeroZ, ZwformError, show
+from .exact_arith import _check_powers
 from .parametrization import ParameterTuple, Solution, closed_forms, generate_reference
 
 
@@ -160,8 +165,11 @@ def scan(bounds: SearchBounds, stats):
     order as a row index and the quotient w. Only the rows whose residue
     class admits m are divided, so the work per m follows its solutions,
     not the box. The SCAN_COUNTERS of stats (a SearchReport) grow as
-    batches are drawn and are complete once it is exhausted.
+    batches are drawn and are complete once it is exhausted. A box whose
+    bound has a p-th power past MAX_POWER_BITS is refused with TooLarge
+    before the table is built.
     """
+    _check_powers(bounds.p, bounds.bound)
     return _triples(bounds.bound, bounds.p)[0], _batches(bounds, stats)
 
 
@@ -355,8 +363,11 @@ def roundtrip_check(bounds: SearchBounds, jobs: int = 1) -> SearchReport:
     ints, with no per-solution Solution, ParameterTuple or trace. Anything short of that is recorded
     in failures under its Failure category, with the Solution as its
     subject, in (m, x, y, z) order. The e == 0 degeneracies, where m_fields
-    returns None, are counted separately as degenerate_e.
+    returns None, are counted separately as degenerate_e. A box whose bound
+    has a p-th power past MAX_POWER_BITS is refused with TooLarge before
+    the table is built or a worker started.
     """
+    _check_powers(bounds.p, bounds.bound)
     report = SearchReport()
     for piece in _run_chunks(_roundtrip_chunk, bounds, jobs):
         report.absorb(piece)
@@ -367,31 +378,19 @@ _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
 
 
-def _mix64(z: int) -> int:
-    """splitmix64's output function of one 64-bit state.
-
-    The k-th word of splitmix64 from seed s is _mix64(s + k*_GAMMA mod
-    2**64), identical on every platform and Python version, and a function
-    of k alone. sample_tuples, the package's one source of randomness,
-    inlines this function; it stays as the reference that the tests step
-    splitmix64 with.
-    """
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-    return z ^ (z >> 31)
-
-
 def sample_tuples(p: int, limit: int, count: int, seed: int) -> list[ParameterTuple]:
     """Exactly count tuples with components in [-limit, limit].
 
     Rejection sampling: draw j (from 0) takes the splitmix64 words
-    _mix64(seed + k*_GAMMA mod 2**64) for k = 7*j + 1 .. 7*j + 7, each
+    mix64(seed + k*_GAMMA mod 2**64) for k = 7*j + 1 .. 7*j + 7, each
     reduced modulo 2*limit + 1 and shifted down by limit, as e, f, g, l,
     q, n, r, and is discarded unless q != 0 and gcd(e,q) == gcd(l,q) ==
-    gcd(n,r) == 1. A word depends only on its index, so q is computed
-    first, the others only while the draw can still pass, and f and g only
-    for draws that do. Each word is one call, with _mix64 inlined.
-    Deterministic for a fixed seed.
+    gcd(n,r) == 1. mix64 is splitmix64's output function of one 64-bit
+    state. A word depends only on its index, so q is computed first, the
+    others only while the draw can still pass, and f and g only for draws
+    that do. Each word is one call, with mix64 inlined; the tests step
+    splitmix64 in order with the reference mix64. Deterministic for a
+    fixed seed, on every platform and Python version.
     """
     if limit < 1:
         raise ValueError(f"limit must be >= 1, got {show(limit)}")
@@ -401,7 +400,7 @@ def sample_tuples(p: int, limit: int, count: int, seed: int) -> list[ParameterTu
     state = seed & _MASK64
 
     def word(k):
-        """The k-th word past state (_mix64, inlined), reduced to [-limit, limit]."""
+        """The k-th word past state (mix64, inlined), reduced to [-limit, limit]."""
         z = (state + k * _GAMMA) & _MASK64
         z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
         z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64

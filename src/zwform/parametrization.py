@@ -33,12 +33,10 @@ gives w:
 
 Each costs a fixed number of big-integer powers instead of O(p). The
 paper-literal sums stay as the reference that gates them: ``eval_z``,
-``eval_x``, ``eval_w`` and ``generate_reference``.
-
-The quadratic case has a classical, much older set of closed forms
-(Dickson); ``dickson_p2`` implements them independently as a cross-check.
-``brahmagupta_compose`` implements the multiplicativity of the norm form
-a**2 - m*q**2, the classical precursor of the whole construction.
+``eval_x``, ``eval_w`` and ``generate_reference``, which roundtrip's identity
+fuzz runs. The classical cross-checks of the quadratic case, Dickson's
+closed forms and Brahmagupta's composition of the norm form a**2 - m*q**2,
+run in no command and are test references, in tests/reference.py.
 """
 
 from __future__ import annotations
@@ -90,7 +88,7 @@ class Solution:
     """One instance (p, x, y, z, m, w) of x**p - m*y**p == z*w.
 
     The identity itself is not enforced at construction (use
-    ``identity_holds`` or ``is_theorem_grade``), only that p >= 2.
+    ``identity_holds`` or ``theorem_grade_flags``), only that p >= 2.
     """
 
     p: int
@@ -120,18 +118,14 @@ def theorem_grade_flags(sol: Solution) -> dict[str, bool]:
     generate() itself can emit solutions that fail them (zero or
     non-coprime fields are fine in the forward direction). The identity is
     identity_holds', so a solution whose x or y has a p-th power past
-    MAX_POWER_BITS raises TooLarge, here and in is_theorem_grade.
+    MAX_POWER_BITS raises TooLarge. A solution is theorem grade when all
+    three flags hold.
     """
     return {
         "identity": sol.identity_holds(),
         "nonzero": 0 not in (sol.x, sol.y, sol.z, sol.m, sol.w),
         "pairwise_coprime": gcd(sol.x, sol.y) == gcd(sol.x, sol.z) == gcd(sol.y, sol.z) == 1,
     }
-
-
-def is_theorem_grade(sol: Solution) -> bool:
-    """All three flags of theorem_grade_flags hold."""
-    return all(theorem_grade_flags(sol).values())
 
 
 def eval_y(t: ParameterTuple) -> int:
@@ -266,43 +260,3 @@ def generate_reference(t: ParameterTuple) -> Solution:
     if x ** t.p - m * y ** t.p != z * w:
         raise IdentityViolation(f"x**p - m*y**p != z*w for {show(t)}")
     return Solution(t.p, x, y, z, m, w)
-
-
-def dickson_p2(t: ParameterTuple) -> Solution:
-    """The classical quadratic closed forms, written independently.
-
-    x = e*l*n + f*n*q - f*l*r - g*q*r
-    y = n*q + l*r
-    m = f**2 - e*g
-    z = e*l**2 + 2*f*l*q + g*q**2
-    w = e*n**2 - 2*f*n*r + g*r**2
-
-    Serves as an oracle for the p == 2 specialization of generate(); the two
-    must agree field by field wherever generate() is defined. Raises
-    ValueError for any other p.
-    """
-    if t.p != 2:
-        raise ValueError(f"dickson_p2 is only defined for p == 2, got p={show(t.p)}")
-    e, f, g, l, q, n, r = t.e, t.f, t.g, t.l, t.q, t.n, t.r
-    x = e * l * n + f * n * q - f * l * r - g * q * r
-    y = n * q + l * r
-    m = f * f - e * g
-    z = e * l * l + 2 * f * l * q + g * q * q
-    w = e * n * n - 2 * f * n * r + g * r * r
-    return Solution(2, x, y, z, m, w)
-
-
-def brahmagupta_compose(a: int, q: int, b: int, r: int, m: int, sign: int) -> tuple[int, int]:
-    """Compose two values of the norm form v**2 - m*u**2.
-
-    Returns (A, Q) = (a*b + sign*m*q*r, a*r + sign*b*q), which satisfies
-
-        (a**2 - m*q**2) * (b**2 - m*r**2) == A**2 - m*Q**2
-
-    for either sign in {+1, -1}. At m == -1 this is the two-squares
-    identity: (a**2 + q**2)(b**2 + r**2) == (a*b - q*r)**2 + (a*r + b*q)**2
-    for sign == +1, and the swapped-sign variant for sign == -1.
-    """
-    if sign not in (1, -1):
-        raise ValueError(f"sign must be +1 or -1, got {show(sign)}")
-    return a * b + sign * m * q * r, a * r + sign * b * q

@@ -21,7 +21,7 @@ from zwform.decomposition import decompose
 from zwform.errors import NotTheoremGrade, ZeroZ, show
 from zwform.exact_arith import MAX_POWER_BITS, _check_powers
 from zwform.oracle import SearchBounds, enumerate_solutions, identity_fuzz, stream_solutions
-from zwform.parametrization import ParameterTuple, Solution, generate, is_theorem_grade
+from zwform.parametrization import ParameterTuple, Solution, generate, theorem_grade_flags
 
 
 def run_lines(capsys, argv):
@@ -242,7 +242,7 @@ class TestVerify:
 
 
 class TestTheoremGradeParity:
-    """verify, is_theorem_grade and decompose read the same three hypotheses.
+    """verify, theorem_grade_flags and decompose read the same three hypotheses.
 
     The CLI outcomes are pinned byte for byte. A broken identity never reaches
     decompose through the CLI, which rejects an inconsistent --w itself, so its
@@ -264,7 +264,12 @@ class TestTheoremGradeParity:
         ((1, 2, 5, -1, 2), "identity=0 nonzero=1 pairwise_coprime=1 theorem_grade=0", EX_DOMAIN,
          ["error InconsistentW"], "error: z*w = 10 but x**p - m*y**p = 5\n",
          "x**p - m*y**p != z*w for Solution(p=2, x=1, y=2, z=5, m=-1, w=2)"),
-    ], ids=["theorem_grade", "zero_field", "not_coprime", "broken_identity"])
+        # x and z share a factor, and x, y and y, z do not.
+        ((2, 1, 2, 2, 1), "identity=1 nonzero=1 pairwise_coprime=0 theorem_grade=0", EX_DOMAIN,
+         ["error NotTheoremGrade"],
+         "error: x, y, z must be pairwise coprime, got Solution(p=2, x=2, y=1, z=2, m=2, w=1)\n",
+         "x, y, z must be pairwise coprime, got Solution(p=2, x=2, y=1, z=2, m=2, w=1)"),
+    ], ids=["theorem_grade", "zero_field", "not_coprime", "broken_identity", "x_z_not_coprime"])
     def test_one_predicate(self, capsys, fields, flags, code, out, err, library_error):
         argv = ["--p", "2"]
         for name, value in zip("xyzmw", fields):
@@ -273,7 +278,9 @@ class TestTheoremGradeParity:
         assert run_lines(capsys, ["verify"] + argv) == (
             EX_OK if identity else EX_DOMAIN, [f"report {flags}"], "")
         sol = Solution(2, *fields)
-        assert is_theorem_grade(sol) == flags.endswith("theorem_grade=1")
+        library = theorem_grade_flags(sol)
+        assert [f"{name}={int(ok)}" for name, ok in library.items()] == flags.split()[:3]
+        assert all(library.values()) == flags.endswith("theorem_grade=1")
         assert run_lines(capsys, ["decompose"] + argv) == (code, out, err)
         if library_error is None:
             decompose(sol)
@@ -408,6 +415,10 @@ class TestHugeP:
         with pytest.raises(TooLarge):
             _check_powers(2, -3, -(1 << (half + 1)))
         _check_powers(1000000000000000003, -1, 0, 1)
+        # At p = 17 the bound moves one bit at a time: 17 * 61,681 == 2**20 + 1.
+        _check_powers(17, 1 << 61680)
+        with pytest.raises(TooLarge, match="61682-bit input has at least 1048577 bits"):
+            _check_powers(17, -(1 << 61681))
 
     def test_huge_p_meets_the_power_budgets(self, capsys):
         # A p of any size is a valid exponent; what it cannot hold is

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import zwform
+from reference import extgcd_bezout
 from zwform import decomposition, exact_arith, parametrization
 from zwform.decomposition import (
     ROW_RELATIONS,
@@ -27,22 +28,8 @@ from zwform.decomposition import (
     trace_identities,
 )
 from zwform.errors import DegenerateE, NotCoprime, NotDivisible, NotTheoremGrade, TooLarge
-from zwform.exact_arith import extgcd
 from zwform.oracle import SearchBounds, enumerate_solutions
 from zwform.parametrization import ParameterTuple, Solution, generate
-
-
-def extgcd_bezout(v, z):
-    """bezout_nonzero as extgcd computes it: the reference for its pow form."""
-    g, a, b = extgcd(v, z)
-    if g != 1:
-        raise NotCoprime(f"gcd({v}, {z}) = {g} != 1")
-    if z == 0:
-        return v, 0
-    b = -b
-    if a == 0:
-        a, b = a + z, b + v
-    return a, b
 
 
 def bezout_outcome(bezout, v, z):
@@ -281,18 +268,6 @@ class TestDecompose:
         with pytest.raises(TooLarge, match="MAX_POWER_BITS = 20"):
             decompose(sol)
         assert calls == []
-
-    def test_row_prefix_refuses_large_x_or_y_first(self, monkeypatch):
-        # decompose refuses such a row in its identity check; row_prefix
-        # makes the same refusal before its Bezout pairs.
-        monkeypatch.setattr(exact_arith, "MAX_POWER_BITS", 20)
-        calls = []
-        with pytest.raises(TooLarge) as caught:
-            row_prefix(3, 1025, 1, 1, bezout=lambda v, z: calls.append((v, z)))
-        assert calls == []
-        with pytest.raises(TooLarge) as refused:
-            decompose(Solution(3, 1025, 1, 1, 1, 1025**3 - 1))
-        assert str(caught.value) == str(refused.value)
 
     def test_first_failed_hypothesis_is_reported(self):
         # Nonzero is checked first, then coprimality, then the identity.

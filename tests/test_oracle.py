@@ -8,15 +8,13 @@ import os
 
 import pytest
 
+from reference import SplitMix64, naive_box_scan, naive_counts, roundtrip_reference
 from test_acceptance import A3_FAILURES, A4_FAILURES, A5_FAILURES, select_failures
 from test_cli import search_report
 from zwform import decomposition, exact_arith, oracle, parametrization
-from zwform.cli import _emit, _solution_record, run
-from zwform.decomposition import decompose, m_fields, row_prefix, trace_identities
-from zwform.errors import (
-    ConstraintViolation, DegenerateE, IdentityViolation, NotDivisible, RegenerateMismatch, TooLarge,
-    ZeroZ, ZwformError,
-)
+from zwform.cli import EX_DOMAIN, _emit, _solution_record, run
+from zwform.decomposition import decompose, m_fields, row_prefix
+from zwform.errors import DegenerateE, IdentityViolation, NotDivisible, TooLarge, ZeroZ
 from zwform.oracle import (
     SCAN_COUNTERS,
     Failure,
@@ -28,42 +26,7 @@ from zwform.oracle import (
     sample_tuples,
     stream_solutions,
 )
-from zwform.parametrization import ParameterTuple, Solution, eval_z, generate, is_theorem_grade
-
-
-def naive_box_scan(p, bound, m_min, m_max):
-    """The most literal possible enumeration, kept independent of the package."""
-    found = []
-    for m in range(m_min, m_max + 1):
-        if m == 0:
-            continue
-        for x in range(-bound, bound + 1):
-            for y in range(-bound, bound + 1):
-                for z in range(-bound, bound + 1):
-                    if x == 0 or y == 0 or z == 0:
-                        continue
-                    if (math.gcd(x, y) != 1 or math.gcd(x, z) != 1
-                            or math.gcd(y, z) != 1):
-                        continue
-                    t = x ** p - m * y ** p
-                    if t != 0 and t % z == 0:
-                        found.append(Solution(p, x, y, z, m, t // z))
-    return found
-
-
-def naive_counts(p, bound, m_min, m_max):
-    """The SCAN_COUNTERS of a box, counted instance by instance."""
-    vals = [v for v in range(-bound, bound + 1) if v]
-    triples = [(x, y, z) for x in vals for y in vals for z in vals
-               if math.gcd(x, y) == math.gcd(x, z) == math.gcd(y, z) == 1]
-    nonzero_m = [m for m in range(m_min, m_max + 1) if m]
-    return {
-        "instances_checked": len(nonzero_m) * len(triples),
-        "solutions_found": len(naive_box_scan(p, bound, m_min, m_max)),
-        "filtered_zero_m": (m_max - m_min + 1 - len(nonzero_m)) * len(triples),
-        "filtered_zero_w": sum(1 for m in nonzero_m for (x, y, z) in triples
-                               if x ** p == m * y ** p),
-    }
+from zwform.parametrization import ParameterTuple, Solution, eval_z, generate, theorem_grade_flags
 
 
 class TestSearchBounds:
@@ -97,7 +60,7 @@ class TestEnumerate:
         sols = enumerate_solutions(SearchBounds(2, 6, -4, 4))
         assert sols == sorted(sols, key=lambda s: (s.m, s.x, s.y, s.z))
         for sol in sols:
-            assert is_theorem_grade(sol)
+            assert all(theorem_grade_flags(sol).values())
             assert abs(sol.x) <= 6 and abs(sol.y) <= 6 and abs(sol.z) <= 6
             assert -4 <= sol.m <= 4
 
@@ -250,37 +213,6 @@ class TestRoundtripCheck:
         assert rep.consistent()
         rep.failures.append(("x", Failure.TRACE, "y"))
         assert not rep.consistent()
-
-
-def roundtrip_reference(bounds):
-    """The round trip solution by solution: decompose and trace_identities
-    on every enumerated solution, with no work shared between the solutions
-    of one row. The reference the row-by-row walk of roundtrip_check is
-    gated against."""
-    report = SearchReport()
-    sols = []
-    report.absorb(stream_solutions(bounds, sols.append))
-    for sol in sols:
-        try:
-            tup, trace = decompose(sol)
-        except DegenerateE:
-            report.degenerate_e += 1
-            continue
-        except ConstraintViolation as exc:
-            report.failures.append((sol, Failure.CONSTRAINT, str(exc)))
-            continue
-        except RegenerateMismatch as exc:
-            report.failures.append((sol, Failure.REGENERATE, str(exc)))
-            continue
-        except ZwformError as exc:
-            report.failures.append((sol, Failure.EXCEPTION, f"{type(exc).__name__}: {exc}"))
-            continue
-        bad = [name for name, ok in trace_identities(sol, trace).items() if not ok]
-        if bad:
-            report.failures.append((sol, Failure.TRACE, ",".join(bad)))
-        else:
-            report.decompose_success += 1
-    return report
 
 
 def _w_plus_one(forms):
@@ -534,9 +466,10 @@ class TestWorkDoneOnce:
 class TestRefusalOrder:
     """A TooLarge refusal of the row-by-row round trip is the m-by-m one."""
 
-    @pytest.mark.parametrize("limit", [12, 20, 30])
-    @pytest.mark.parametrize("bounds", [SearchBounds(7, 6, -9, 9), SearchBounds(5, 8, 2, 12)],
-                             ids=["p7", "p5"])
+    BOXES = [SearchBounds(7, 6, -9, 9), SearchBounds(5, 8, 2, 12)]
+
+    @pytest.mark.parametrize("limit", [20, 30])
+    @pytest.mark.parametrize("bounds", BOXES, ids=["p7", "p5"])
     @pytest.mark.parametrize("jobs", [1, 3])
     def test_first_refusal_in_m_order(self, monkeypatch, limit, bounds, jobs):
         # Under a small power budget, solutions of many rows are refused, with
@@ -551,6 +484,43 @@ class TestRefusalOrder:
         with pytest.raises(TooLarge) as got:
             roundtrip_check(bounds, jobs=jobs)
         assert f"TooLarge: {got.value}" == refusals[0]
+
+    @pytest.mark.parametrize("bounds", BOXES, ids=["p7", "p5"])
+    @pytest.mark.parametrize("jobs", [1, 3])
+    def test_box_past_the_budget_is_refused_first(self, monkeypatch, bounds, jobs):
+        # Under a 12-bit budget the bound's own p-th power is past it: the
+        # box is refused with the CLI's TooLarge before its table is built
+        # or a pool started.
+        monkeypatch.setattr(exact_arith, "MAX_POWER_BITS", 12)
+        monkeypatch.setattr(decomposition, "MAX_POWER_BITS", 12)
+        with pytest.raises(TooLarge) as door:
+            exact_arith._check_powers(bounds.p, bounds.bound)
+        self.assert_every_walk_refuses(monkeypatch, bounds, jobs, str(door.value))
+
+    @pytest.mark.parametrize("jobs", [1, 3])
+    def test_huge_p_box_is_refused_as_the_cli_refuses_it(self, monkeypatch, capsys, jobs):
+        # Unrefused, this box's table takes 2**22-bit powers of 2, and the
+        # walks' time and memory grow with p.
+        bounds = SearchBounds(2**22, 2, 1, 1)
+        assert run(["search", "--p", str(2**22), "--bound", "2", "--m", "1..1"]) == EX_DOMAIN
+        captured = capsys.readouterr()
+        assert captured.out == "error TooLarge\n" and captured.err.startswith("error: ")
+        self.assert_every_walk_refuses(monkeypatch, bounds, jobs,
+                                       captured.err[len("error: "):-1])
+
+    @staticmethod
+    def assert_every_walk_refuses(monkeypatch, bounds, jobs, message):
+        """Each box walk raises TooLarge(message), with no table built and no pool started."""
+        pools = fake_pool(monkeypatch)
+        table = oracle._triples.cache_info()
+        for walk in (lambda: roundtrip_check(bounds, jobs=jobs),
+                     lambda: enumerate_solutions(bounds),
+                     lambda: stream_solutions(bounds, [].append),
+                     lambda: oracle.scan(bounds, SearchReport())):
+            with pytest.raises(TooLarge) as got:
+                walk()
+            assert str(got.value) == message
+        assert pools == [] and oracle._triples.cache_info() == table
 
 
 class TestSolutionObjects:
@@ -582,22 +552,6 @@ class TestSolutionObjects:
         assert {kind for _, kind, _ in report.failures} == {category}
         assert len(calls) == len(report.failures)
         assert [Solution(*fields) for fields in calls] == [sol for sol, _, _ in report.failures]
-
-
-class SplitMix64:
-    """The splitmix64 generator, stepped in order: the reference for the
-    package's out-of-order words, oracle._mix64 of seed + k*gamma."""
-
-    def __init__(self, seed):
-        self._state = seed & oracle._MASK64
-
-    def next_u64(self):
-        self._state = (self._state + oracle._GAMMA) & oracle._MASK64
-        return oracle._mix64(self._state)
-
-    def randint(self, lo, hi):
-        """Draw from [lo, hi] by reducing one 64-bit word modulo the span."""
-        return lo + self.next_u64() % (hi - lo + 1)
 
 
 class TestSplitMix64:
@@ -705,6 +659,20 @@ class TestIdentityFuzz:
         assert report.decompose_success == 0
         assert {kind for _, kind, _ in report.failures} == {Failure.REFERENCE}
         assert {detail for _, _, detail in report.failures} == {"differs in w"}
+
+    def test_wrong_y_alone_is_a_reference_failure(self, monkeypatch):
+        real = oracle.closed_forms
+
+        def y_plus_one(*t):
+            x, y, z, m, w = real(*t)
+            return x, y + 1, z, m, w
+
+        monkeypatch.setattr(oracle, "closed_forms", y_plus_one)
+        report = identity_fuzz(3, 4, 50, seed=5)
+        assert report.solutions_found > 0
+        assert report.decompose_success == 0
+        assert {(kind, detail) for _, kind, detail in report.failures} == {
+            (Failure.REFERENCE, "differs in y")}
 
     def test_builds_only_the_reference_solution(self, monkeypatch):
         # The generate side compares closed_forms' ints with the reference's

@@ -8,6 +8,7 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from reference import brahmagupta_compose, dickson_p2
 from zwform.decomposition import decompose
 from zwform import exact_arith, parametrization
 from zwform.errors import DegenerateE, NotCoprime, TooLarge, ZeroZ, ZwformError
@@ -15,15 +16,12 @@ from zwform.oracle import SearchBounds, enumerate_solutions, sample_tuples
 from zwform.parametrization import (
     ParameterTuple,
     Solution,
-    brahmagupta_compose,
     closed_forms,
-    dickson_p2,
     eval_m,
     eval_y,
     eval_z,
     generate,
     generate_reference,
-    is_theorem_grade,
     theorem_grade_flags,
 )
 
@@ -160,7 +158,7 @@ class TestPowerBudget:
                                      Solution(3, 1, 1025, 1, 1, 1 - 1025**3)], ids=["x", "y"])
     def test_identity_refuses_large_x_or_y(self, monkeypatch, sol):
         monkeypatch.setattr(exact_arith, "MAX_POWER_BITS", 20)
-        for check in (Solution.identity_holds, theorem_grade_flags, is_theorem_grade):
+        for check in (Solution.identity_holds, theorem_grade_flags):
             with pytest.raises(TooLarge, match="MAX_POWER_BITS = 20"):
                 check(sol)
 
@@ -175,7 +173,7 @@ class TestPowerBudget:
                   ParameterTuple(self.HUGE_P, 1, 0, 1, 1, 1, 1, 1)):
             with pytest.raises(TooLarge, match="MAX_POWER_BITS"):
                 generate(t)
-        for call in (decompose, is_theorem_grade):
+        for call in (decompose, theorem_grade_flags):
             with pytest.raises(TooLarge):
                 call(Solution(self.HUGE_P, 2, 1, 1, 1, 1))
         assert time.perf_counter() - start < 1
@@ -339,13 +337,17 @@ class TestBrahmagupta:
 
 class TestTheoremGrade:
     def test_accepts_good_solution(self):
-        assert is_theorem_grade(Solution(2, -1, 2, 5, -1, 1))
+        assert theorem_grade_flags(Solution(2, -1, 2, 5, -1, 1)) == {
+            "identity": True, "nonzero": True, "pairwise_coprime": True}
 
     def test_rejects_zero_component(self):
-        assert not is_theorem_grade(Solution(2, 2, 1, 3, 4, 0))
+        assert theorem_grade_flags(Solution(2, 2, 1, 3, 4, 0)) == {
+            "identity": True, "nonzero": False, "pairwise_coprime": True}
 
     def test_rejects_common_factor(self):
-        assert not is_theorem_grade(Solution(2, 3, 6, 1, 1, -27))
+        assert theorem_grade_flags(Solution(2, 3, 6, 1, 1, -27)) == {
+            "identity": True, "nonzero": True, "pairwise_coprime": False}
 
     def test_rejects_identity_violation(self):
-        assert not is_theorem_grade(Solution(2, 1, 2, 5, -1, 2))
+        assert theorem_grade_flags(Solution(2, 1, 2, 5, -1, 2)) == {
+            "identity": False, "nonzero": True, "pairwise_coprime": True}
