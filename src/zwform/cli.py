@@ -173,7 +173,7 @@ def _cmd_generate(args) -> int:
 def _cmd_decompose(args) -> int:
     fmt = args.format
     p, x, y, z, m = args.p, args.x, args.y, args.z, args.m
-    _check_powers(p, x, y)
+    _check_powers(p, abs(x) | abs(y))
     lhs = x ** p - m * y ** p
     if args.w is None:
         if z == 0:
@@ -207,13 +207,12 @@ def _cmd_verify(args) -> int:
 
 
 def _search_bounds(args) -> SearchBounds:
-    try:
-        bounds = SearchBounds(args.p, args.bound, *args.m)
-    except ValueError as exc:
-        raise UsageError(exc)
     if args.jobs < 1:
         raise UsageError(f"--jobs must be >= 1, got {args.jobs}")
-    return bounds
+    try:
+        return SearchBounds(args.p, args.bound, *args.m)
+    except ValueError as exc:
+        raise UsageError(exc)
 
 
 def _search_text(bounds: SearchBounds, fmt: str, stats: SearchReport):
@@ -253,8 +252,6 @@ def _pooled_text(bounds: SearchBounds, fmt: str, stats: SearchReport, jobs: int)
 
 def _cmd_search(args) -> int:
     bounds = _search_bounds(args)
-    # scan makes this check too, but only once --out is open; refuse first.
-    _check_powers(bounds.p, bounds.bound)
     fmt = args.format
     stats = SearchReport()
     texts = (_search_text(bounds, fmt, stats) if args.jobs == 1
@@ -279,11 +276,9 @@ def _cmd_search(args) -> int:
 
 
 def _cmd_roundtrip(args) -> int:
-    bounds = _search_bounds(args)
     if args.fuzz_count < 0:
         raise UsageError(f"--fuzz-count must be >= 0, got {args.fuzz_count}")
-    # roundtrip_check makes this check too, but only after the fuzz; refuse first.
-    _check_powers(bounds.p, bounds.bound)
+    bounds = _search_bounds(args)
     # The fuzz refuses a reference it cannot afford before sampling, so it
     # runs first: a refusal comes before the box's round trip, not after.
     fuzz = identity_fuzz(args.p, args.bound, args.fuzz_count, args.seed)

@@ -47,7 +47,7 @@ from dataclasses import dataclass
 from math import gcd
 from typing import NamedTuple
 
-from .exact_arith import MAX_POWER_BITS, _check_powers, exact_div
+from .exact_arith import _check_powers, exact_div
 from .errors import (
     ConstraintViolation, DegenerateE, NotCoprime, NotDivisible, NotTheoremGrade,
     RegenerateMismatch, show,
@@ -184,17 +184,19 @@ def row_prefix(p: int, x: int, y: int, z: int, bezout=bezout_nonzero) -> RowPref
     otherwise). The pairs are bezout(x, z) and bezout(y, z); a caller that
     walks many rows of one z passes a memo of bezout_nonzero, so that each
     (v, z) is solved once. TooLarge is raised, before the powers are taken,
-    when the p-th power of u or q would pass MAX_POWER_BITS. x and y are
-    not raised to p here: decompose's identity check has refused a row
-    whose x or y is past the budget, and a box walk has refused its bound.
-    l = z * u**(1-p) mod |q|, or 0 at |q| == 1, is split_u's l for every m
-    of the row.
+    when the p-th power of u or q would pass MAX_POWER_BITS; that guards
+    decompose, whose z is unbounded. In a box that passed SearchBounds'
+    check it cannot fire: |q| <= |a| and |u| <= |c|, and bezout_nonzero
+    keeps both within max(|z| // 2, 1). x and y are not raised to p here:
+    decompose's identity check has refused a row whose x or y is past the
+    budget, and SearchBounds has refused a box's bound. l = z * u**(1-p)
+    mod |q|, or 0 at |q| == 1, is split_u's l for every m of the row.
     """
     a, b = bezout(x, z)
     c, d = bezout(y, z)
     h, q, u, r = line_coeffs(a, b, c, d)
     # The row constants raise u and q to p; refuse them before they do.
-    _check_powers(p, u, q)
+    _check_powers(p, abs(u) | abs(q))
     mod = abs(q)
     l = z * pow(u, 1 - p, mod) % mod if mod > 1 else 0
     return RowPrefix(a, b, c, d, h, u, q, r, l, u ** p, q ** p, l ** (p - 1) * r)
@@ -214,9 +216,9 @@ def m_fields(p: int, fields: tuple, prefix: RowPrefix) -> tuple[int, int, int, i
     test it; gcd_constraints_hold has just passed it, so a solution takes
     three gcds. A violation raises ConstraintViolation or RegenerateMismatch
     and means a bug, not bad input. TooLarge is raised before g and n are
-    computed when the p-th power of e or f would pass MAX_POWER_BITS. The
-    Solution and ParameterTuple that the messages name are built only to
-    raise.
+    computed when the p-th power of e or f would pass MAX_POWER_BITS, by
+    the one budget test, _check_powers, on abs(e) | abs(f). The Solution
+    and ParameterTuple that the messages name are built only to raise.
     """
     x, y, z, m, w = fields
     _, _, _, _, _, u, q, r, l, up, qp, lr = prefix
@@ -229,9 +231,8 @@ def m_fields(p: int, fields: tuple, prefix: RowPrefix) -> tuple[int, int, int, i
     f, rem = divmod(u - e * l, q)
     if rem:
         raise NotDivisible(f"{show(q)} does not divide {show(u - e * l)}")
-    # g and n raise f to p and e to p - 2: _check_powers' test, inline, refuses them first.
-    if p * ((abs(e) | abs(f)).bit_length() - 1) > MAX_POWER_BITS:
-        _check_powers(p, e, f)
+    # g and n raise f to p and e to p - 2; refuse them first.
+    _check_powers(p, abs(e) | abs(f))
     g, rem = divmod(f ** p - m, e)
     if rem:
         raise NotDivisible(f"{show(e)} does not divide {show(f ** p - m)}")

@@ -45,18 +45,17 @@ def exact_div(num: int, den: int) -> int:
     return quot
 
 
-def _check_powers(p: int, *values: int) -> None:
-    """Raise TooLarge if some value's p-th power would pass MAX_POWER_BITS.
+def _check_powers(p: int, magnitude: int) -> None:
+    """Raise TooLarge if the p-th power of magnitude would pass MAX_POWER_BITS.
 
-    The test takes p * (bit_length - 1), a lower bound on the bits of v**p,
-    so |v| <= 1 always passes, whatever p is.
+    This is the one power-budget test. A caller that raises several values
+    to p passes the OR of their absolute values, which is as wide as the
+    widest of them. The test takes p * (bit_length - 1), a lower bound on
+    the bits of the power, so a magnitude of 0 or 1 always passes, whatever
+    p is.
     """
-    largest = 0
-    for v in values:
-        largest |= abs(v)  # as wide as the widest |v|
-    width = largest.bit_length()
+    width = magnitude.bit_length()
     bits = p * (width - 1)
     if bits > MAX_POWER_BITS:
         raise TooLarge(f"the p-th power of a {show(width)}-bit input has at least "
                        f"{show(bits)} bits, more than MAX_POWER_BITS = {MAX_POWER_BITS}")
-

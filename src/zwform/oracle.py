@@ -9,9 +9,10 @@ every instance directly) is kept as the reference it is gated against,
 batch round-trip checking, seeded tuple sampling, and a fuzz of generate
 against its paper-literal reference, all producing mergeable reports.
 
-The box's table holds x**p and y**p for every |x|, |y| <= bound, so both
-walks, scan and roundtrip_check, refuse a box whose bound has a p-th power
-past MAX_POWER_BITS with TooLarge before the table is built.
+The box's table holds x**p and y**p for every |x|, |y| <= bound, so
+SearchBounds refuses a box whose bound has a p-th power past MAX_POWER_BITS
+with TooLarge: every walk starts from a box that passed, and no walk checks
+the budget of its bound again.
 
 Determinism contract: enumeration output and a round trip's failures are
 sorted by (m, x, y, z), although the round trip walks the box row by row;
@@ -38,7 +39,13 @@ from .parametrization import ParameterTuple, Solution, closed_forms, generate_re
 
 @dataclass(frozen=True)
 class SearchBounds:
-    """Box to search: |x|, |y|, |z| <= bound and m_min <= m <= m_max."""
+    """Box to search: |x|, |y|, |z| <= bound and m_min <= m <= m_max.
+
+    Construction raises ValueError for p < 2, bound < 1 or an empty m
+    range, then TooLarge when bound's p-th power would pass MAX_POWER_BITS:
+    the box's one power-budget check, made before any table is built.
+    dataclasses.replace, which cuts a box into pool chunks, checks again.
+    """
 
     p: int
     bound: int
@@ -52,6 +59,7 @@ class SearchBounds:
             raise ValueError(f"bound must be >= 1, got {show(self.bound)}")
         if self.m_min > self.m_max:
             raise ValueError(f"empty m range [{show(self.m_min)}, {show(self.m_max)}]")
+        _check_powers(self.p, self.bound)
 
 
 # The counters one scan fills, in the order the search report lists them.
@@ -165,11 +173,9 @@ def scan(bounds: SearchBounds, stats):
     order as a row index and the quotient w. Only the rows whose residue
     class admits m are divided, so the work per m follows its solutions,
     not the box. The SCAN_COUNTERS of stats (a SearchReport) grow as
-    batches are drawn and are complete once it is exhausted. A box whose
-    bound has a p-th power past MAX_POWER_BITS is refused with TooLarge
-    before the table is built.
+    batches are drawn and are complete once it is exhausted. bounds has
+    passed SearchBounds' power-budget check, so the table's powers fit.
     """
-    _check_powers(bounds.p, bounds.bound)
     return _triples(bounds.bound, bounds.p)[0], _batches(bounds, stats)
 
 
@@ -233,7 +239,10 @@ def _roundtrip_chunk(bounds: SearchBounds) -> SearchReport:
     its solutions that decomposes. All of this runs on the fields (x, y, z,
     m, w) as plain ints; a Solution is built only as the subject of a
     failures entry, once the failures are sorted into (m, x, y, z) order.
-    TooLarge is a refusal of the whole box, not one solution's failure: the
+    row_prefix cannot raise TooLarge here: bezout_nonzero's a has |a| <=
+    max(|z| // 2, 1), so |q| <= |a| and |u| <= |c| are at most the bound,
+    whose p-th power SearchBounds has checked. m_fields' TooLarge, on e
+    and f, is a refusal of the whole box, not one solution's failure: the
     chunk raises the one the first refused solution in (m, x, y, z) order
     raises, as an m-by-m walk would, and walks no solution past it.
     """
@@ -265,9 +274,6 @@ def _roundtrip_chunk(bounds: SearchBounds) -> SearchReport:
                 found += len(sols)
                 try:
                     prefix = row_prefix(p, x, y, z, bezout)
-                except TooLarge as exc:
-                    refused = sols[0][3], i, exc
-                    continue
                 except ZwformError as exc:
                     kind, detail = _failure(exc)
                     failed += [(fields[3], i, fields, kind, detail) for fields in sols]
@@ -363,11 +369,10 @@ def roundtrip_check(bounds: SearchBounds, jobs: int = 1) -> SearchReport:
     ints, with no per-solution Solution, ParameterTuple or trace. Anything short of that is recorded
     in failures under its Failure category, with the Solution as its
     subject, in (m, x, y, z) order. The e == 0 degeneracies, where m_fields
-    returns None, are counted separately as degenerate_e. A box whose bound
-    has a p-th power past MAX_POWER_BITS is refused with TooLarge before
-    the table is built or a worker started.
+    returns None, are counted separately as degenerate_e. bounds has passed
+    SearchBounds' power-budget check; the TooLarge this can raise is
+    m_fields', see _roundtrip_chunk.
     """
-    _check_powers(bounds.p, bounds.bound)
     report = SearchReport()
     for piece in _run_chunks(_roundtrip_chunk, bounds, jobs):
         report.absorb(piece)

@@ -44,7 +44,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb, gcd
 
-from .exact_arith import MAX_POWER_BITS, _check_powers, exact_div
+from .exact_arith import _check_powers, exact_div
 from .errors import IdentityViolation, NotCoprime, ZeroZ, show
 
 
@@ -108,7 +108,7 @@ class Solution:
         Raises TooLarge, before either power is taken, when the p-th power
         of x or y would pass MAX_POWER_BITS.
         """
-        _check_powers(self.p, self.x, self.y)
+        _check_powers(self.p, abs(self.x) | abs(self.y))
         return self.x ** self.p - self.m * self.y ** self.p == self.z * self.w
 
 
@@ -185,11 +185,11 @@ def closed_forms(p: int, e: int, f: int, g: int, l: int, q: int, n: int,
     that it does not test: generate tests it, and decomposition.m_fields has
     tested it as part of gcd_constraints_hold. Nor does it check the power
     budget of its arguments, which generate checks before calling it. It
-    does check x and y, which it computes: TooLarge before w takes their
-    p-th powers. Raises ZeroZ when z is 0; a remainder in any of its three
-    divisions is a bug, or a broken precondition, and raises
-    IdentityViolation. The messages name the ParameterTuple, which is built
-    only to raise.
+    does check x and y, which it computes: _check_powers on abs(x) | abs(y)
+    raises TooLarge before w takes their p-th powers. Raises ZeroZ when z
+    is 0; a remainder in any of its three divisions is a bug, or a broken
+    precondition, and raises IdentityViolation. The messages name the
+    ParameterTuple, which is built only to raise.
     """
     fq = f * q
     u = e * l + fq
@@ -206,9 +206,8 @@ def closed_forms(p: int, e: int, f: int, g: int, l: int, q: int, n: int,
     y = n * q + e ** (p - 2) * l ** (p - 1) * r
     m = f ** p - e * g
     x, x_rem = divmod(u * y - z * r, q)
-    # w raises x and y to p: _check_powers' test, inline, refuses them first.
-    if p * ((abs(x) | abs(y)).bit_length() - 1) > MAX_POWER_BITS:
-        _check_powers(p, x, y)
+    # w raises x and y to p; refuse them first.
+    _check_powers(p, abs(x) | abs(y))
     w, w_rem = divmod(x ** p - m * y ** p, z)
     if x_rem or w_rem:
         raise IdentityViolation(f"inexact closed-form division in generate("
@@ -230,7 +229,7 @@ def generate(t: ParameterTuple) -> Solution:
     generate_reference wherever either is defined.
     """
     p, e, f, g, l, q, n, r = t.p, t.e, t.f, t.g, t.l, t.q, t.n, t.r
-    _check_powers(p, e, f, l, q, f * q, e * l + f * q)
+    _check_powers(p, abs(e) | abs(f) | abs(l) | abs(q) | abs(f * q) | abs(e * l + f * q))
     if gcd(e, q) != 1:
         raise NotCoprime(f"gcd(e, q) = gcd({show(e)}, {show(q)}) != 1")
     if gcd(l, q) != 1:

@@ -17,11 +17,16 @@ from zwform.cli import (
     EX_DOMAIN, EX_INTERNAL, EX_IOERR, EX_OK, EX_USAGE, _WRITE_RECORDS,
     TooLarge, _emit, _record, _solution_record, run,
 )
+from zwform import cli, oracle, parametrization
 from zwform.decomposition import decompose
-from zwform.errors import NotTheoremGrade, ZeroZ, show
+from zwform.errors import DegenerateE, NotTheoremGrade, ZeroZ, show
 from zwform.exact_arith import MAX_POWER_BITS, _check_powers
-from zwform.oracle import SearchBounds, enumerate_solutions, identity_fuzz, stream_solutions
-from zwform.parametrization import ParameterTuple, Solution, generate, theorem_grade_flags
+from zwform.oracle import (
+    SearchBounds, enumerate_solutions, identity_fuzz, sample_tuples, stream_solutions,
+)
+from zwform.parametrization import (
+    ParameterTuple, Solution, generate, generate_reference, theorem_grade_flags,
+)
 
 
 def run_lines(capsys, argv):
@@ -409,16 +414,18 @@ class TestHugeP:
             EX_OK, out, "")
 
     def test_power_bits_boundary(self):
-        # p * (bit_length - 1) may reach MAX_POWER_BITS but not pass it.
+        # p * (bit_length - 1) may reach MAX_POWER_BITS but not pass it. A
+        # caller passes the OR of the magnitudes it raises to p.
         half = MAX_POWER_BITS // 2
-        _check_powers(2, 1 << half, -3)
+        _check_powers(2, (1 << half) | 3)
         with pytest.raises(TooLarge):
-            _check_powers(2, -3, -(1 << (half + 1)))
-        _check_powers(1000000000000000003, -1, 0, 1)
+            _check_powers(2, 3 | (1 << (half + 1)))
+        _check_powers(1000000000000000003, 1)
+        _check_powers(1000000000000000003, 0)
         # At p = 17 the bound moves one bit at a time: 17 * 61,681 == 2**20 + 1.
         _check_powers(17, 1 << 61680)
         with pytest.raises(TooLarge, match="61682-bit input has at least 1048577 bits"):
-            _check_powers(17, -(1 << 61681))
+            _check_powers(17, 1 << 61681)
 
     def test_huge_p_meets_the_power_budgets(self, capsys):
         # A p of any size is a valid exponent; what it cannot hold is
@@ -485,6 +492,13 @@ class TestSearch:
             (["roundtrip", "--p", "2", "--bound", "5", "--m", "1..1", "--jobs", "0"],
              "--jobs must be >= 1"),
             (["roundtrip", "--p", "0", "--bound", "5", "--m", "1..1"], "must be >= 2, got 0"),
+            # A usage error is reported before a box past the power budget.
+            (["search", "--p", "1000000000000000003", "--bound", "2", "--m", "1..1",
+              "--jobs", "0"], "--jobs must be >= 1"),
+            (["roundtrip", "--p", "1000000000000000003", "--bound", "2", "--m", "1..1",
+              "--jobs", "0"], "--jobs must be >= 1"),
+            (["roundtrip", "--p", "1000000000000000003", "--bound", "2", "--m", "1..1",
+              "--fuzz-count", "-1"], "--fuzz-count must be >= 0"),
             (["decompose", "--p", "1", "--x", "1", "--y", "1", "--z", "1", "--m", "1"],
              "must be >= 2, got 1"),
             (["verify", "--p", "-3", "--x", "1", "--y", "1", "--z", "1", "--m", "1", "--w", "0"],
@@ -613,6 +627,50 @@ class TestRoundtrip:
         code_b, out_b, _ = run_lines(capsys, argv)
         assert code_a == code_b == EX_OK
         assert out_a == out_b
+
+    def test_failures_exit_1_and_are_listed(self, capsys, monkeypatch):
+        # An injected TRACE failure on every box solution with x, y, z > 0
+        # that decomposes, and a REFERENCE failure on every fuzzed tuple with
+        # z != 0. The report is written all the same; stderr lists the first
+        # 20 failures, the box's in (m, x, y, z) order, then the fuzz's.
+        m_relations = oracle.m_relations
+
+        def failing_m_relations(p, fields, prefix, found):
+            if min(fields[:3]) > 0:
+                return ("residual_g",)
+            return m_relations(p, fields, prefix, found)
+
+        def wrong_y(*args):
+            x, y, z, m, w = parametrization.closed_forms(*args)
+            return x, y + 1, z, m, w
+
+        monkeypatch.setattr(oracle, "m_relations", failing_m_relations)
+        monkeypatch.setattr(oracle, "closed_forms", wrong_y)
+        box = []
+        for sol in enumerate_solutions(SearchBounds(2, 2, -2, 2)):
+            if min(sol.x, sol.y, sol.z) > 0:
+                try:
+                    decompose(sol)
+                except DegenerateE:
+                    continue
+                box.append(f"failure: TRACE: {sol}: residual_g")
+        fuzz = []
+        for t in sample_tuples(2, 2, 30, 0):
+            try:
+                generate_reference(t)
+            except ZeroZ:
+                continue
+            fuzz.append(f"failure: REFERENCE: {t}: differs in y")
+        assert 0 < len(box) < 20 < len(box) + len(fuzz)
+        code, out, err = run_lines(capsys, ["roundtrip", "--p", "2", "--bound", "2",
+                                            "--m", "-2..2", "--fuzz-count", "30",
+                                            "--format", "json"])
+        assert code == EX_INTERNAL
+        (report,) = json_records(out)
+        assert report["kind"] == "report"
+        assert report["counts"]["failures"] == str(len(box))
+        assert report["counts"]["fuzz_failures"] == str(len(fuzz))
+        assert err.splitlines() == (box + fuzz)[:20]
 
     def test_negative_fuzz_count_is_usage_error(self, capsys):
         code, _, _ = run_lines(
@@ -874,3 +932,26 @@ class TestParsing:
 
     def test_internal_codes_are_distinct(self):
         assert len({EX_OK, EX_INTERNAL, EX_DOMAIN, EX_USAGE, EX_IOERR}) == 5
+
+
+class TestLastResort:
+    """run maps what a command lets escape: an OSError to 74, any other exception to 1."""
+
+    ARGV = ["generate", "--p", "2", "--tuple", "1,1,1,1,1,1,1"]
+
+    def test_broken_stdout_is_io_error(self, capsys, monkeypatch):
+        class BrokenPipe:
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+        monkeypatch.setattr(sys, "stdout", BrokenPipe())
+        assert run(self.ARGV) == EX_IOERR
+        assert capsys.readouterr().err == "i/o error: [Errno 32] Broken pipe\n"
+
+    def test_unexpected_exception_is_internal_error(self, capsys, monkeypatch):
+        def broken(t):
+            raise RuntimeError("injected")
+
+        monkeypatch.setattr(cli, "generate", broken)
+        assert run(self.ARGV) == EX_INTERNAL
+        assert capsys.readouterr() == ("", "internal error: RuntimeError: injected\n")

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 import zwform
 from reference import extgcd_bezout
-from zwform import decomposition, exact_arith, parametrization
+from zwform import decomposition, exact_arith, oracle, parametrization
 from zwform.decomposition import (
     ROW_RELATIONS,
     DecompositionTrace,
@@ -68,6 +68,17 @@ class TestBezoutNonzero:
                 a, b = bezout_nonzero(v, z)
                 assert a != 0
                 assert a * v - b * z == 1
+                assert abs(a) <= max(abs(z) // 2, 1)
+
+    @pytest.mark.parametrize("p, bound", [(2, 12), (3, 10), (5, 8), (7, 6)])
+    def test_box_line_coefficients_within_the_bound(self, p, bound):
+        # |q| <= |a| and |u| <= |c|, and both Bezout coefficients are within
+        # max(|z| // 2, 1): so row_prefix's power check cannot refuse a row
+        # of a box whose bound passed SearchBounds' check.
+        rows, _ = oracle._triples(bound, p)
+        for x, y, z, _, _ in rows:
+            prefix = row_prefix(p, x, y, z)
+            assert max(abs(prefix.u), abs(prefix.q)) <= max(abs(z) // 2, 1) <= bound
 
 
 class TestBezoutAgainstExtgcd:
@@ -83,7 +94,10 @@ class TestBezoutAgainstExtgcd:
     @given(st.integers(-2**4096, 2**4096),
            st.one_of(st.integers(-3, 3), st.integers(-2**4096, 2**4096)))
     def test_signed_up_to_4096_bits(self, v, z):
-        assert bezout_outcome(bezout_nonzero, v, z) == bezout_outcome(extgcd_bezout, v, z)
+        outcome = bezout_outcome(bezout_nonzero, v, z)
+        assert outcome == bezout_outcome(extgcd_bezout, v, z)
+        if not isinstance(outcome, str):
+            assert abs(outcome[0]) <= max(abs(z) // 2, 1)
 
     def test_zero_z(self):
         for v in (*range(-50, 51), 2**4096 + 1, -2**4096 - 1):

@@ -476,7 +476,6 @@ class TestRefusalOrder:
         # messages that name different widths. The reference records each
         # refusal as a failure, in (m, x, y, z) order.
         monkeypatch.setattr(exact_arith, "MAX_POWER_BITS", limit)
-        monkeypatch.setattr(decomposition, "MAX_POWER_BITS", limit)
         refusals = [detail for _, _, detail in roundtrip_reference(bounds).failures
                     if detail.startswith("TooLarge: ")]
         assert len(set(refusals)) > 1
@@ -487,39 +486,53 @@ class TestRefusalOrder:
 
     @pytest.mark.parametrize("bounds", BOXES, ids=["p7", "p5"])
     @pytest.mark.parametrize("jobs", [1, 3])
-    def test_box_past_the_budget_is_refused_first(self, monkeypatch, bounds, jobs):
-        # Under a 12-bit budget the bound's own p-th power is past it: the
-        # box is refused with the CLI's TooLarge before its table is built
-        # or a pool started.
+    def test_box_past_the_budget_is_refused_first(self, monkeypatch, capsys, bounds, jobs):
+        # Under a 12-bit budget the bound's own p-th power is past it:
+        # SearchBounds refuses the box with the CLI's TooLarge, before its
+        # table is built or a pool started.
         monkeypatch.setattr(exact_arith, "MAX_POWER_BITS", 12)
-        monkeypatch.setattr(decomposition, "MAX_POWER_BITS", 12)
         with pytest.raises(TooLarge) as door:
             exact_arith._check_powers(bounds.p, bounds.bound)
-        self.assert_every_walk_refuses(monkeypatch, bounds, jobs, str(door.value))
+        message = str(door.value)
+        if jobs > 1:
+            # A box built under the old budget is checked again as it is cut
+            # into pool chunks.
+            pools = fake_pool(monkeypatch)
+            with pytest.raises(TooLarge) as got:
+                roundtrip_check(bounds, jobs=jobs)
+            assert str(got.value) == message and pools == []
+        self.assert_the_box_is_refused(monkeypatch, capsys, dataclasses.astuple(bounds), jobs,
+                                       message)
 
     @pytest.mark.parametrize("jobs", [1, 3])
     def test_huge_p_box_is_refused_as_the_cli_refuses_it(self, monkeypatch, capsys, jobs):
         # Unrefused, this box's table takes 2**22-bit powers of 2, and the
         # walks' time and memory grow with p.
-        bounds = SearchBounds(2**22, 2, 1, 1)
         assert run(["search", "--p", str(2**22), "--bound", "2", "--m", "1..1"]) == EX_DOMAIN
         captured = capsys.readouterr()
         assert captured.out == "error TooLarge\n" and captured.err.startswith("error: ")
-        self.assert_every_walk_refuses(monkeypatch, bounds, jobs,
+        self.assert_the_box_is_refused(monkeypatch, capsys, (2**22, 2, 1, 1), jobs,
                                        captured.err[len("error: "):-1])
 
     @staticmethod
-    def assert_every_walk_refuses(monkeypatch, bounds, jobs, message):
-        """Each box walk raises TooLarge(message), with no table built and no pool started."""
+    def assert_the_box_is_refused(monkeypatch, capsys, box, jobs, message):
+        """SearchBounds(*box), dataclasses.replace into box, and the CLI's search
+        and roundtrip of box at --jobs jobs each refuse it with TooLarge(message),
+        with no table built and no pool started."""
+        p, bound, m_min, m_max = box
         pools = fake_pool(monkeypatch)
         table = oracle._triples.cache_info()
-        for walk in (lambda: roundtrip_check(bounds, jobs=jobs),
-                     lambda: enumerate_solutions(bounds),
-                     lambda: stream_solutions(bounds, [].append),
-                     lambda: oracle.scan(bounds, SearchReport())):
+        unit = SearchBounds(2, 1, m_min, m_max)
+        for build in (lambda: SearchBounds(p, bound, m_min, m_max),
+                      lambda: dataclasses.replace(unit, p=p, bound=bound)):
             with pytest.raises(TooLarge) as got:
-                walk()
+                build()
             assert str(got.value) == message
+        argv = ["--p", str(p), "--bound", str(bound), "--m", f"{m_min}..{m_max}",
+                "--jobs", str(jobs)]
+        for command in (["search"], ["roundtrip", "--fuzz-count", "0"]):
+            assert run(command + argv) == EX_DOMAIN
+            assert capsys.readouterr() == ("error TooLarge\n", f"error: {message}\n")
         assert pools == [] and oracle._triples.cache_info() == table
 
 

@@ -70,10 +70,11 @@ MUTANTS = [
            "    if bits > MAX_POWER_BITS:", "    if bits > MAX_POWER_BITS + 1:",
            ("tests/test_cli.py::TestHugeP::test_power_bits_boundary",)),
     Mutant("closed_forms_xy_unchecked", "src/zwform/parametrization.py",
-           "    if p * ((abs(x) | abs(y)).bit_length() - 1) > MAX_POWER_BITS:\n"
-           "        _check_powers(p, x, y)\n",
-           "",
+           "    _check_powers(p, abs(x) | abs(y))\n", "",
            ("tests/test_cli.py::TestHugeP::test_huge_output_power_is_refused",)),
+    Mutant("m_fields_budget_unchecked", "src/zwform/decomposition.py",
+           "    _check_powers(p, abs(e) | abs(f))\n", "",
+           ("tests/test_cli.py::TestHugeP::test_huge_residual_is_refused",)),
     Mutant("constraints_skip_gcd_n_r", "src/zwform/parametrization.py",
            "gcd(l, q) == 1 and gcd(n, r) == 1", "gcd(l, q) == 1",
            ("tests/test_decomposition.py::TestDecompose::test_m_fields_takes_three_gcds",)),
@@ -87,14 +88,13 @@ MUTANTS = [
            "    try:\n        return str(value)\n    except ValueError:\n        pass\n",
            "    return str(value)\n",
            ("tests/test_cli.py::TestMessagesPastDigitLimit::test_generate_zero_z",)),
-    Mutant("scan_door_open", "src/zwform/oracle.py",
-           "    _check_powers(bounds.p, bounds.bound)\n    return _triples(",
-           "    return _triples(",
+    Mutant("bounds_door_open", "src/zwform/oracle.py",
+           "        _check_powers(self.p, self.bound)\n", "",
            ("tests/test_oracle.py::TestRefusalOrder",)),
-    Mutant("roundtrip_door_open", "src/zwform/oracle.py",
-           "    _check_powers(bounds.p, bounds.bound)\n    report = SearchReport()",
-           "    report = SearchReport()",
-           ("tests/test_oracle.py::TestRefusalOrder",)),
+    Mutant("roundtrip_failures_exit_0", "src/zwform/cli.py",
+           "{detail}\", file=sys.stderr)\n        return EX_INTERNAL\n",
+           "{detail}\", file=sys.stderr)\n        return EX_OK\n",
+           ("tests/test_cli.py::TestRoundtrip::test_failures_exit_1_and_are_listed",)),
     Mutant("theorem_grade_skips_gcd_x_z", "src/zwform/parametrization.py",
            "gcd(sol.x, sol.y) == gcd(sol.x, sol.z) == gcd(sol.y, sol.z) == 1",
            "gcd(sol.x, sol.y) == gcd(sol.y, sol.z) == 1",
